@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Any
 
+import numpy as np
+
 from .constructor import (
     ConstructionParams,
     ScheduleSequenceSet,
@@ -33,7 +35,7 @@ from .random_schemes import (
     optimal_single_channel,
     optimize_random,
 )
-from .seqcore import GroupDivision, ScheduleSequence, Symbol
+from .seqcore import GroupDivision, ScheduleSequence
 from .simulator import (
     AssignTRandomScheme,
     GeneralRandomScheme,
@@ -44,7 +46,13 @@ from .simulator import (
 )
 from .verifier import Verdict, lower_bound, verify_set
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "1"      # JSON payloads the commands print
+SET_SCHEMA_VERSION = "2"  # set files written by save_set; load_set also reads "1"
+
+# Bytes of the token grammar T<m> / R<r>, tokens separated by single spaces.
+_SPACE, _ZERO, _T, _R = (ord(c) for c in " 0TR")
+# Longest channel number read: 18 digits keep every value inside int64.
+_MAX_CHANNEL_DIGITS = 18
 
 
 class SequenceSetFormatError(ValueError):
@@ -52,16 +60,22 @@ class SequenceSetFormatError(ValueError):
 
 
 def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
+    """Schema-2 document: each sequence is one string of space-separated
+    tokens, T<m> for transmit on channel m and R<r> for listen to channel r."""
     params = sset.params
+    W = sset.W
+    # Token text of every code -W..W, indexed by code + W.
+    tokens = np.array([f"R{-c}" if c < 0 else f"T{c}" for c in range(-W, W + 1)],
+                      dtype=object)
     doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SET_SCHEMA_VERSION,
         "K": sset.K,
-        "M": params.M if params is not None else sset.W,
-        "W": sset.W,
+        "M": params.M if params is not None else W,
+        "W": W,
         "L": sset.L,
         "params": None,
         "division": list(sset.division.assignment),
-        "sequences": [[str(sym) for sym in seq.symbols] for seq in sset.sequences],
+        "sequences": [" ".join(tokens[seq.codes + W].tolist()) for seq in sset.sequences],
     }
     if params is not None:
         doc["params"] = {
@@ -71,30 +85,75 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
     return doc
 
 
+def _parse_tokens(text: str, L: int, W: int) -> np.ndarray:
+    """int16 codes of one row of exactly L space-separated tokens T<m>/R<r>,
+    every channel in 1..W; raises ValueError naming the first bad token."""
+    try:
+        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"non-ASCII character {text[exc.start]!r}") from None
+    spaces = np.flatnonzero(buf == _SPACE)
+    if spaces.size + 1 != L:
+        raise ValueError(f"{spaces.size + 1} slots, expected {L}")
+    starts = np.concatenate(([0], spaces + 1))
+    ends = np.concatenate((spaces, [buf.size]))
+    n_digits = ends - starts - 1
+    bad = (n_digits < 1) | (n_digits > _MAX_CHANNEL_DIGITS)
+    kinds = np.zeros(L, dtype=np.uint8)
+    kinds[~bad] = buf[starts[~bad]]
+    bad |= (kinds != _T) & (kinds != _R)
+    # Horner's rule over digit places; the loop runs once per digit of the
+    # longest channel number, and reads every byte between kind and space.
+    channels = np.zeros(L, dtype=np.int64)
+    for d in range(int(n_digits[~bad].max(initial=0))):
+        has = ~bad & (n_digits > d)
+        digit = buf[np.where(has, starts + 1 + d, 0)] - np.uint8(_ZERO)  # wraps below '0'
+        bad |= has & (digit > 9)
+        channels = np.where(has, channels * 10 + digit, channels)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"bad symbol {text[starts[k]:ends[k]]!r} in slot {k}, "
+                         "expected T<m> or R<r>")
+    out_of_range = (channels < 1) | (channels > W)
+    if out_of_range.any():
+        k = int(out_of_range.argmax())
+        raise ValueError(f"slot {k}: channel {channels[k]} outside 1..W={W}")
+    return np.where(kinds == _T, channels, -channels).astype(np.int16)
+
+
 def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
+    """Read a schema-1 (one token list per sequence) or schema-2 (one token
+    string per sequence) document; both go through one token parser."""
+    if not isinstance(doc, dict):
+        raise SequenceSetFormatError("a set file holds one JSON object")
+    version = doc.get("schema_version")
+    if version not in ("1", "2"):
+        raise SequenceSetFormatError(
+            f"unsupported schema_version {version!r}, expected \"1\" or \"2\"")
+    row_type = list if version == "1" else str
     try:
         K, M, W, L = (int(doc[k]) for k in ("K", "M", "W", "L"))
         division = [int(g) for g in doc["division"]]
         raw_seqs = doc["sequences"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SequenceSetFormatError(f"malformed document: {exc}") from exc
-    if len(division) != K or len(raw_seqs) != K:
+    if not isinstance(raw_seqs, list) or len(division) != K or len(raw_seqs) != K:
         raise SequenceSetFormatError("division and sequences must list K entries")
     sequences = []
     for i, (group, row) in enumerate(zip(division, raw_seqs), start=1):
-        if len(row) != L:
-            raise SequenceSetFormatError(f"sequence {i} has {len(row)} slots, expected {L}")
+        if not isinstance(row, row_type):
+            raise SequenceSetFormatError(
+                f"sequence {i}: schema {version} stores a sequence as a "
+                f"{row_type.__name__}, got {type(row).__name__}")
         try:
-            symbols = [Symbol.from_str(s) for s in row]
-        except ValueError as exc:
-            raise SequenceSetFormatError(f"sequence {i}: {exc}") from exc
-        for sym in symbols:
-            if sym.channel > W:
-                raise SequenceSetFormatError(
-                    f"sequence {i}: channel {sym.channel} exceeds W={W}")
-        try:
-            sequences.append(ScheduleSequence.from_symbols(symbols, owner_group=group))
-        except ValueError as exc:
+            if version == "1":
+                if len(row) != L:
+                    raise ValueError(f"{len(row)} slots, expected {L}")
+                # An element holding a space, or an empty one, changes the
+                # token count or leaves an empty token: both are rejected.
+                row = " ".join(row)
+            sequences.append(ScheduleSequence(_parse_tokens(row, L, W), owner_group=group))
+        except (TypeError, ValueError) as exc:
             raise SequenceSetFormatError(f"sequence {i}: {exc}") from exc
     params = None
     if doc.get("params") is not None:
@@ -115,8 +174,10 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
 
 
 def save_set(sset: ScheduleSequenceSet, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python one.
+    text = json.dumps(set_to_doc(sset))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(set_to_doc(sset), fh)
+        fh.write(text)
         fh.write("\n")
 
 

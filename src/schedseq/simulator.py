@@ -178,9 +178,11 @@ def _run_one(config: SimConfig, rng: np.random.Generator,
             rx = actions == -m
             hit3 = txu[:, None, :] & rx[None, :, :]
             got = hit3.any(axis=2)
-            slot = hit3.argmax(axis=2)
-            update = got & (first < 0)
-            first[update] = t0 + slot[update]
+            cand = t0 + hit3.argmax(axis=2)
+            # A pair can succeed on several channels within one chunk;
+            # it keeps the earliest slot over all of them.
+            update = got & ((first < 0) | (cand < first))
+            first[update] = cand[update]
         t0 += T
     pending = (first[off_diag] < 0).any()
     completion = max_slots if pending else int(first[off_diag].max()) + 1

@@ -193,7 +193,10 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
         with ProcessPoolExecutor(max_workers=n) as pool:
             futures = [pool.submit(_check_pair_batch, sset, chunk, mode, budget)
                        for chunk in chunks]
-            reports = [r for f in futures for r in f.result()]
+            # Back into pair order, so the witness does not depend on threads.
+            reports = [None] * len(pairs)
+            for c, f in enumerate(futures):
+                reports[c::n] = f.result()
     else:
         reports = _check_pair_batch(sset, pairs, mode, budget)
     pairs_checked = len(reports)

@@ -90,6 +90,24 @@ def brute_force_completion(sset: ScheduleSequenceSet, offsets: dict[int, int],
     return None
 
 
+def brute_force_first_success(actions) -> list[list[int]]:
+    """Slot-by-slot first delivery slot of every ordered pair over a K x T
+    table of slot actions; -1 where a pair never gets through."""
+    K, T = len(actions), len(actions[0])
+    first = [[-1] * K for _ in range(K)]
+    for t in range(T):
+        column = [int(actions[x][t]) for x in range(K)]
+        for m in {a for a in column if a > 0}:
+            transmitters = [x for x in range(K) if column[x] == m]
+            if len(transmitters) != 1:
+                continue
+            tx = transmitters[0]
+            for rx in range(K):
+                if column[rx] == -m and first[tx][rx] < 0:
+                    first[tx][rx] = t
+    return first
+
+
 def brute_force_cross_correlation(bits_a, bits_b, tau: int) -> int:
     L = len(bits_a)
     return sum(int(bits_a[t]) * int(bits_b[(t + tau) % L]) for t in range(L))

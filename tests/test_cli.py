@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from schedseq.cli import (
@@ -10,7 +11,8 @@ from schedseq.cli import (
     set_from_doc,
     set_to_doc,
 )
-from schedseq.constructor import build_schedule_set
+from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
+from schedseq.seqcore import ScheduleSequence, Symbol
 
 
 def run_cli(capsys, *argv):
@@ -23,11 +25,61 @@ def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-class TestSerialization:
+def to_v1(doc: dict) -> dict:
+    """The schema-1 form of a schema-2 document: one token list per sequence."""
+    return {**doc, "schema_version": "1",
+            "sequences": [row.split(" ") for row in doc["sequences"]]}
+
+
+def random_set(rng: np.random.Generator, K: int, W: int, L: int) -> ScheduleSequenceSet:
+    """K nodes on W channels, every group non-empty, random slot actions."""
+    groups = rng.permutation([(i % W) + 1 for i in range(K)])
+    seqs = []
+    for g in groups:
+        codes = np.where(rng.random(L) < 0.3, g, -rng.integers(1, W + 1, size=L))
+        seqs.append(ScheduleSequence(codes.astype(np.int16), owner_group=int(g)))
+    return ScheduleSequenceSet(tuple(seqs))
+
+
+class _SchemaDocs:
+    """Set documents in one schema version.
+
+    The test classes built on it run with schema "2", and again through a
+    subclass setting schema = "1"; a subclass, rather than a pytest
+    parameter, keeps the ids of the schema-2 tests as they were.
+    """
+
+    schema = "2"
+
+    def doc(self, sset: ScheduleSequenceSet) -> dict:
+        doc = set_to_doc(sset)
+        return to_v1(doc) if self.schema == "1" else doc
+
+    def tokens(self, doc: dict, i: int) -> list[str]:
+        row = doc["sequences"][i]
+        return list(row) if self.schema == "1" else row.split(" ")
+
+    def set_row(self, doc: dict, i: int, tokens: list[str]) -> None:
+        doc["sequences"][i] = list(tokens) if self.schema == "1" else " ".join(tokens)
+
+    def put(self, doc: dict, i: int, t: int, token: str) -> None:
+        """Replace slot t of sequence i (both 0-based) by token."""
+        tokens = self.tokens(doc, i)
+        tokens[t] = token
+        self.set_row(doc, i, tokens)
+
+    def save(self, sset: ScheduleSequenceSet, path) -> None:
+        if self.schema == "2":
+            save_set(sset, str(path))
+        else:
+            path.write_text(json.dumps(self.doc(sset)))
+
+
+class _CodecCases(_SchemaDocs):
     def test_round_trip_constructed(self, tmp_path):
         sset = build_schedule_set(4, 2, W=2)
         path = tmp_path / "set.json"
-        save_set(sset, str(path))
+        self.save(sset, path)
         again = load_set(str(path))
         assert again == sset
         assert again.params is not None
@@ -35,38 +87,118 @@ class TestSerialization:
 
     def test_round_trip_handmade(self, three_node_set, tmp_path):
         path = tmp_path / "ref.json"
-        save_set(three_node_set, str(path))
+        self.save(three_node_set, path)
         assert load_set(str(path)) == three_node_set
 
-    def test_doc_symbols_are_strings(self):
-        doc = set_to_doc(build_schedule_set(3, 1))
-        assert doc["schema_version"] == "1"
-        assert doc["sequences"][0][0] == "T1"
-        assert all(s[0] in "TR" for row in doc["sequences"] for s in row)
+    def test_round_trip_multi_digit_channels(self, tmp_path):
+        # W=12: tokens T10..T12 and R10..R12 take two digits
+        W = 12
+        seqs = tuple(ScheduleSequence(
+            np.array([g if t == g else -((t * 5 + g) % W + 1) for t in range(2 * W)],
+                     dtype=np.int16), owner_group=g) for g in range(1, W + 1))
+        sset = ScheduleSequenceSet(seqs)
+        path = tmp_path / "wide.json"
+        self.save(sset, path)
+        text = path.read_text()
+        assert "T12" in text and "R10" in text
+        assert load_set(str(path)) == sset
+
+    def test_reader_matches_symbol_oracle(self):
+        # every token parsed one at a time by Symbol.from_str gives the codes
+        rng = np.random.default_rng(11)
+        for K, W, L in ((2, 1, 1), (5, 3, 17), (14, 11, 40), (30, 4, 64)):
+            doc = self.doc(random_set(rng, K, W, L))
+            loaded = set_from_doc(doc)
+            for i, seq in enumerate(loaded.sequences):
+                want = [Symbol.from_str(tok).code for tok in self.tokens(doc, i)]
+                assert seq.codes.tolist() == want
 
     def test_rejects_channel_beyond_W(self, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][0][11] = "R9"
-        with pytest.raises(SequenceSetFormatError):
+        doc = self.doc(three_node_set)
+        self.put(doc, 0, 11, "R9")
+        with pytest.raises(SequenceSetFormatError, match="sequence 1:"):
             set_from_doc(doc)
 
     def test_rejects_malformed_symbol(self, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][1][0] = "Q1"
-        with pytest.raises(SequenceSetFormatError):
+        doc = self.doc(three_node_set)
+        self.put(doc, 1, 0, "Q1")
+        with pytest.raises(SequenceSetFormatError, match="sequence 2:"):
             set_from_doc(doc)
 
     def test_rejects_wrong_length(self, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][0] = doc["sequences"][0][:-1]
-        with pytest.raises(SequenceSetFormatError):
+        doc = self.doc(three_node_set)
+        self.set_row(doc, 0, self.tokens(doc, 0)[:-1])
+        with pytest.raises(SequenceSetFormatError, match="sequence 1:"):
             set_from_doc(doc)
 
     def test_rejects_transmit_outside_own_group(self, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][0][0] = "T2"  # node 1 owns group 1
-        with pytest.raises(SequenceSetFormatError):
+        doc = self.doc(three_node_set)
+        self.put(doc, 0, 0, "T2")  # node 1 owns group 1
+        with pytest.raises(SequenceSetFormatError, match="sequence 1:"):
             set_from_doc(doc)
+
+    @pytest.mark.parametrize("t,token", [
+        (0, ""),            # leading space
+        (-1, ""),           # trailing space
+        (4, ""),            # doubled space
+        (4, "R1 "),         # doubled space and one token too many
+        (4, "R 1"),         # space inside a token
+        (4, "R1\t"),
+        (4, "r1"),
+        (4, "T"),
+        (4, "R-1"),
+        (4, "R0"),
+        (4, "R\u0661"),     # ARABIC-INDIC DIGIT ONE
+        (4, "R\uff11"),     # FULLWIDTH DIGIT ONE
+        (4, "R" + "0" * 30 + "1"),
+    ])
+    def test_rejects_bad_tokens(self, three_node_set, t, token):
+        doc = self.doc(three_node_set)
+        self.put(doc, 1, t, token)
+        with pytest.raises(SequenceSetFormatError, match="sequence 2:"):
+            set_from_doc(doc)
+
+    @pytest.mark.parametrize("version", [None, "", "3", 2, 1])
+    def test_rejects_missing_or_unknown_version(self, three_node_set, version):
+        doc = self.doc(three_node_set)
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        with pytest.raises(SequenceSetFormatError, match="schema_version"):
+            set_from_doc(doc)
+
+    def test_rejects_sequences_not_in_a_list(self):
+        # a one-slot set whose rows would read as the keys of an object
+        doc = self.doc(ScheduleSequenceSet((
+            ScheduleSequence(np.array([1], dtype=np.int16), 1),
+            ScheduleSequence(np.array([-1], dtype=np.int16), 1))))
+        doc["sequences"] = dict.fromkeys(r if isinstance(r, str) else r[0]
+                                         for r in doc["sequences"])
+        with pytest.raises(SequenceSetFormatError, match="K entries"):
+            set_from_doc(doc)
+
+    def test_rejects_rows_of_the_other_version(self, three_node_set):
+        doc = self.doc(three_node_set)
+        other = "1" if self.schema == "2" else "2"
+        doc["schema_version"] = other
+        with pytest.raises(SequenceSetFormatError, match="sequence 1:"):
+            set_from_doc(doc)
+
+
+class TestSerialization(_CodecCases):
+    def test_doc_symbols_are_strings(self, three_node_set):
+        doc = set_to_doc(build_schedule_set(3, 1))
+        assert doc["schema_version"] == "2"
+        assert all(isinstance(row, str) for row in doc["sequences"])
+        assert doc["sequences"][0].split(" ")[0] == "T1"
+        assert all(s[0] in "TR" for row in doc["sequences"] for s in row.split(" "))
+        assert set_to_doc(three_node_set)["sequences"][0] == \
+            "T1 T1 T1 T1 T1 T1 R1 R1 R1 R2 R2 R2"
+
+
+class TestSerializationV1(_CodecCases):
+    schema = "1"
 
 
 class TestGenerate:
@@ -98,7 +230,28 @@ class TestGenerate:
         assert "error" in err
 
 
-class TestVerify:
+class _VerifyFileCases(_SchemaDocs):
+    def test_corrupted_file_exit_1(self, capsys, tmp_path, three_node_set):
+        doc = self.doc(three_node_set)
+        self.put(doc, 0, 0, "T9")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", "--in", str(path))
+        assert code == 1 and "error" in err
+
+    def test_failing_set_exit_2_with_witness(self, capsys, tmp_path, three_node_set):
+        doc = self.doc(three_node_set)
+        self.set_row(doc, 2, ["T2"] * 12)  # receiver never listens
+        path = tmp_path / "fail.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--in", str(path),
+                               "--mode", "exhaustive", "--threads", "1")
+        assert code == 2
+        witness = last_json(out)["witness"]
+        assert witness is not None and "offsets" in witness
+
+
+class TestVerify(_VerifyFileCases):
     def test_reference_set_exit_0(self, capsys, tmp_path, three_node_set):
         path = tmp_path / "ref.json"
         save_set(three_node_set, str(path))
@@ -115,30 +268,11 @@ class TestVerify:
                                "--mode", "exhaustive", "--threads", "1")
         assert code == 0
 
-    def test_corrupted_file_exit_1(self, capsys, tmp_path, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][0][0] = "T9"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "verify", "--in", str(path))
-        assert code == 1 and "error" in err
-
     def test_unparseable_file_exit_1(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         code, _, _ = run_cli(capsys, "verify", "--in", str(path))
         assert code == 1
-
-    def test_failing_set_exit_2_with_witness(self, capsys, tmp_path, three_node_set):
-        doc = set_to_doc(three_node_set)
-        doc["sequences"][2] = ["T2"] * 12  # receiver never listens
-        path = tmp_path / "fail.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "verify", "--in", str(path),
-                               "--mode", "exhaustive", "--threads", "1")
-        assert code == 2
-        witness = last_json(out)["witness"]
-        assert witness is not None and "offsets" in witness
 
     def test_budget_exhaustion_exit_3(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -156,6 +290,10 @@ class TestVerify:
                                "--mode", "conservative", "--threads", "1")
         assert code == 0
         assert last_json(out)["verdict"] == "proven_conservative"
+
+
+class TestVerifyV1(_VerifyFileCases):
+    schema = "1"
 
 
 class TestBound:

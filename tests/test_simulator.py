@@ -23,7 +23,7 @@ from schedseq.simulator import (
 )
 from schedseq.verifier import success_slots
 
-from conftest import brute_force_completion, seq_from_str
+from conftest import brute_force_completion, brute_force_first_success, seq_from_str
 
 
 def tiny_alternating_set() -> ScheduleSequenceSet:
@@ -167,6 +167,30 @@ class TestSimulateRandom:
                                  max_slots=50_000))
         assert not res.censored.any()
         assert (res.completion_times >= 1).all()
+
+    def test_general_first_success_matches_slot_replay(self):
+        # W=2: a node transmits on either channel, so one pair can succeed on
+        # both channels within a chunk; the earliest slot must win
+        from schedseq.simulator import _CHUNK_SLOTS, _general_codes
+        params = GeneralRandomParams(2, 6, 0.09)
+        scheme = GeneralRandomScheme(params)
+        runs, seed, max_slots = 12, 5, 20_000
+        res = simulate(SimConfig(scheme, runs=runs, seed=seed, max_slots=max_slots,
+                                 record_pairs=True))
+        off_diag = ~np.eye(params.K, dtype=bool)
+        for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+            # redraw the run's chunks and replay them one slot at a time
+            rng = np.random.default_rng(child)
+            chunks, t0 = [], 0
+            while t0 < max_slots:
+                T = min(_CHUNK_SLOTS, max_slots - t0)
+                chunks.append(_general_codes(scheme, rng.random((params.K, T))))
+                t0 += T
+                first = np.array(brute_force_first_success(np.concatenate(chunks, axis=1)))
+                if (first[off_diag] >= 0).all():
+                    break
+            assert np.array_equal(res.per_pair_first_success[r], first), r
+            assert res.completion_times[r] == first[off_diag].max() + 1
 
     def test_action_distribution_general(self):
         # empirical action frequencies match (p_a, q_a) per channel

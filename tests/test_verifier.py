@@ -168,6 +168,20 @@ class TestVerifySet:
         assert serial.verdict == parallel.verdict
         assert serial.pairs_checked == parallel.pairs_checked
 
+    def test_threads_give_the_serial_witness(self):
+        # nodes 3 and 4 deaf to channel 1: pairs (1,3), (1,4) and (3,4) fail,
+        # and the first of them in pair order is (1,3)
+        sset = build_schedule_set(4, 2, W=2)
+        codes = sset.codes_matrix()
+        for x in (3, 4):
+            codes[x - 1][codes[x - 1] == -1] = -2
+        bad = ScheduleSequenceSet(tuple(
+            ScheduleSequence(row, s.owner_group) for row, s in zip(codes, sset.sequences)))
+        serial = verify_set(bad, mode="exhaustive", threads=1)
+        parallel = verify_set(bad, mode="exhaustive", threads=2)
+        assert (serial.witness.transmitter, serial.witness.receiver) == (1, 3)
+        assert parallel == serial
+
     def test_unknown_mode_rejected(self, three_node_set):
         with pytest.raises(ValueError):
             verify_set(three_node_set, mode="telepathy")
