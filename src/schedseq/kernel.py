@@ -1,0 +1,121 @@
+"""The collision-channel rule, evaluated on bit-packed slot masks.
+
+In a slot, a node transmitting on channel m reaches every node listening
+to m exactly when it is the only transmitter on m.  `first_delivery`
+applies that rule to a batch of runs at once: per channel it packs the
+clean transmit slots and the receive slots of every node into uint64
+words (bit t of word w is slot 64 w + t), ANDs transmitter rows against
+receiver rows, and reads the first delivery off the lowest set bit.
+`run_batch` feeds it chunk after chunk until every pair of every run has
+a delivery.  The simulator and the randomized verifier both go through
+here.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Working-set budget of one batch of runs.  It bounds the transient
+# memory of a simulation or a randomized verification whatever the run
+# or sample count; a run whose working set alone exceeds it runs by
+# itself.
+BATCH_BYTES = 2 ** 20
+
+# Slots per kernel call when the caller has no reason to pick another.
+CHUNK_SLOTS = 512
+
+Actions = Callable[[np.ndarray, int, int], np.ndarray]
+
+
+def run_bytes(K: int, chunk: int) -> int:
+    """Working set of one run in `run_batch`, in bytes.
+
+    The slot actions and per-channel masks take a few bytes per node and
+    slot; per ordered pair there are the packed words, their non-zero
+    flags and about a dozen int64 temporaries and results.
+    """
+    return K * chunk * 8 + K * K * (chunk // 8 + chunk // 64 + 96)
+
+
+def batch_runs(K: int, chunk: int) -> int:
+    """Runs per batch: as many as fit BATCH_BYTES, and at least one."""
+    return max(1, BATCH_BYTES // run_bytes(K, chunk))
+
+
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """(..., 64 n) bool -> (..., n) uint64, slot t at bit t % 64 of word t // 64."""
+    return np.packbits(mask, axis=-1, bitorder="little").view("<u8")
+
+
+def first_delivery(actions: np.ndarray, W: int) -> np.ndarray:
+    """First delivery slot of every ordered pair in each run of a batch.
+
+    actions is an (R, K, T) integer table: m > 0 transmits on channel m,
+    -m listens to channel m, and 0 does neither.  Returns the (R, K, K)
+    table of the first slot in [0, T) at which the row node delivers to
+    the column node, or -1 where it never does.
+    """
+    R, K, T = actions.shape
+    pad = -T % 64
+    if pad:
+        actions = np.concatenate(
+            [actions, np.zeros((R, K, pad), dtype=actions.dtype)], axis=2)
+    hits = np.zeros((R, K, K, (T + pad) // 64), dtype=np.uint64)
+    for m in range(1, W + 1):
+        tx = actions == m
+        clean = np.count_nonzero(tx, axis=1) == 1
+        tx &= clean[:, None, :]
+        txw = _pack(tx)
+        r, i = np.nonzero(txw.any(axis=2))  # transmitter rows with a clean slot
+        if r.size:
+            rxw = _pack(actions == -m)
+            hits[r, i] |= txw[r, i][:, None, :] & rxw[r]
+    nonzero = hits != 0
+    word = nonzero.argmax(axis=3)
+    bits = np.take_along_axis(hits, word[..., None], axis=3)[..., 0]
+    low = bits & (~bits + np.uint64(1))  # lowest set bit alone
+    slot = word * 64 + np.bitwise_count(low - np.uint64(1))
+    return np.where(nonzero.any(axis=3), slot, -1)
+
+
+def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
+              max_slots: int, chunk: int) -> np.ndarray:
+    """First delivery slots of the runs `ids`, over slots [0, max_slots).
+
+    actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
+    runs for slots [t0, t0 + T).  Chunks of `chunk` slots are evaluated in
+    order, and a run drops out once every ordered pair has a delivery.
+    """
+    first = np.full((ids.size, K, K), -1, dtype=np.int64)
+    off_diag = ~np.eye(K, dtype=bool)
+    active = np.arange(ids.size)
+    t0 = 0
+    while t0 < max_slots and active.size:
+        T = min(chunk, max_slots - t0)
+        got = first_delivery(actions(ids[active], t0, T), W)
+        part = first[active]
+        new = (part < 0) & (got >= 0)
+        part[new] = t0 + got[new]
+        first[active] = part
+        active = active[(part[:, off_diag] < 0).any(axis=1)]
+        t0 += T
+    return first
+
+
+def cyclic_reads(codes: np.ndarray, taus: np.ndarray, chunk: int) -> Actions:
+    """Action source for periodic schedules read at per-run offsets.
+
+    codes is the (K, L) schedule table and taus the (runs, K) offsets;
+    run r's node x acts in slot t as codes[x, (t + taus[r, x]) % L].
+    Chunks may be at most `chunk` slots long.
+    """
+    K, L = codes.shape
+    windows = sliding_window_view(codes[:, np.arange(L + chunk - 1) % L], chunk, axis=1)
+    rows = np.arange(K)
+
+    def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
+        return windows[:, :, :T][rows, (t0 + taus[ids]) % L]
+    return actions

@@ -64,7 +64,7 @@ class AssignTRandomParams:
 
 def p_success_general(W: int, K: int, p_a: float) -> float:
     """Per-slot probability that a node receives some fixed neighbor's packet."""
-    params = GeneralRandomParams(W, K, p_a)
+    GeneralRandomParams(W, K, p_a)
     return p_a * (1 - W * p_a) * (1 - p_a) ** (K - 2)
 
 

@@ -9,36 +9,93 @@ and reports that broadcast completion time.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import Protocol
 
 import numpy as np
 
+from . import kernel
 from .constructor import ScheduleSequenceSet
+from .pool import map_in_workers
 from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_length
 from .seqcore import GroupDivision, OffsetVector
 
+# Random schemes draw rng.random((K, _CHUNK_SLOTS)) per run per chunk, so
+# this value fixes their RNG streams.
 _CHUNK_SLOTS = 512
+
+
+class Scheme(Protocol):
+    """What the simulator needs of a transmission scheme."""
+
+    @property
+    def K(self) -> int: ...
+
+    @property
+    def W(self) -> int: ...
+
+    def default_max_slots(self) -> int: ...
+
+    def action_source(self, rngs: list[np.random.Generator],
+                      offset_mode: str | OffsetVector) -> kernel.Actions:
+        """Slot actions of runs by index into rngs (see kernel.run_batch);
+        run r draws only from rngs[r]."""
+        ...
 
 
 @dataclass(frozen=True)
 class SequenceScheme:
     sset: ScheduleSequenceSet
 
+    @property
+    def K(self) -> int:
+        return self.sset.K
+
+    @property
+    def W(self) -> int:
+        return self.sset.W
+
+    def default_max_slots(self) -> int:
+        return 20 * self.sset.L
+
+    def action_source(self, rngs, offset_mode):
+        K, L = self.K, self.sset.L
+        taus = np.array([_draw_offsets(offset_mode, rng, K, L) for rng in rngs])
+        return kernel.cyclic_reads(self.sset.codes_matrix(), taus, _CHUNK_SLOTS)
+
+
+class _DrawnScheme:
+    """Shared by the random schemes: their actions are fresh draws, and
+    max_slots defaults to 20 analytic frame lengths."""
+
+    @property
+    def K(self) -> int:
+        return self.params.K
+
+    @property
+    def W(self) -> int:
+        return self.params.W
+
+    def default_max_slots(self) -> int:
+        return 20 * frame_length(self.K)
+
 
 @dataclass(frozen=True)
-class AssignTRandomScheme:
+class AssignTRandomScheme(_DrawnScheme):
     params: AssignTRandomParams
     division: GroupDivision | None = None  # defaults to the even division
 
+    def action_source(self, rngs, offset_mode):
+        division = self.division or GroupDivision.even(self.K, self.W)
+        return _drawn_actions(rngs, self.K, lambda u: _assign_t_codes(self, u, division))
+
 
 @dataclass(frozen=True)
-class GeneralRandomScheme:
+class GeneralRandomScheme(_DrawnScheme):
     params: GeneralRandomParams
 
-
-Scheme = Union[SequenceScheme, AssignTRandomScheme, GeneralRandomScheme]
+    def action_source(self, rngs, offset_mode):
+        return _drawn_actions(rngs, self.K, lambda u: _general_codes(self, u))
 
 
 @dataclass(frozen=True)
@@ -66,24 +123,16 @@ class SimConfig:
 
     @property
     def K(self) -> int:
-        s = self.scheme
-        if isinstance(s, SequenceScheme):
-            return s.sset.K
-        return s.params.K
+        return self.scheme.K
 
     @property
     def W(self) -> int:
-        s = self.scheme
-        if isinstance(s, SequenceScheme):
-            return s.sset.W
-        return s.params.W
+        return self.scheme.W
 
     def resolved_max_slots(self) -> int:
         if self.max_slots is not None:
             return self.max_slots
-        if isinstance(self.scheme, SequenceScheme):
-            return 20 * self.scheme.sset.L
-        return 20 * frame_length(self.K)
+        return self.scheme.default_max_slots()
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,15 +157,26 @@ class SimResult:
                 and np.array_equal(self.censored, other.censored))
 
 
-def _draw_offsets(config: SimConfig, rng: np.random.Generator, L: int) -> np.ndarray:
-    mode = config.offset_mode
+def _draw_offsets(mode: str | OffsetVector, rng: np.random.Generator,
+                  K: int, L: int) -> np.ndarray:
     if isinstance(mode, OffsetVector):
-        if len(mode.offsets) != config.K or mode.period != L:
+        if len(mode.offsets) != K or mode.period != L:
             raise ValueError("fixed offsets do not match the scheme")
         return np.array(mode.offsets)
     if mode == "zero":
-        return np.zeros(config.K, dtype=np.int64)
-    return rng.integers(0, L, size=config.K)
+        return np.zeros(K, dtype=np.int64)
+    return rng.integers(0, L, size=K)
+
+
+def _drawn_actions(rngs: list[np.random.Generator], K: int, to_codes) -> kernel.Actions:
+    """Action source of a random scheme: each active run draws a fresh
+    (K, T) block of uniforms from its own stream, mapped by to_codes."""
+    def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
+        out = np.empty((ids.size, K, T), dtype=np.int16)
+        for n, r in enumerate(ids):
+            out[n] = to_codes(rngs[r].random((K, T)))
+        return out
+    return actions
 
 
 def _assign_t_codes(scheme: AssignTRandomScheme, u: np.ndarray,
@@ -147,61 +207,27 @@ def _general_codes(scheme: GeneralRandomScheme, u: np.ndarray) -> np.ndarray:
     return np.where(tx_zone, tx_ch, -rx_ch)
 
 
-def _run_one(config: SimConfig, rng: np.random.Generator,
-             max_slots: int) -> tuple[int, bool, np.ndarray]:
-    K, W = config.K, config.W
-    scheme = config.scheme
-    if isinstance(scheme, SequenceScheme):
-        codes = scheme.sset.codes_matrix()
-        L = scheme.sset.L
-        taus = _draw_offsets(config, rng, L)
-    elif isinstance(scheme, AssignTRandomScheme):
-        division = scheme.division or GroupDivision.even(K, W)
-    first = -np.ones((K, K), dtype=np.int64)
-    off_diag = ~np.eye(K, dtype=bool)
-    t0 = 0
-    while t0 < max_slots and (first[off_diag] < 0).any():
-        T = min(_CHUNK_SLOTS, max_slots - t0)
-        if isinstance(scheme, SequenceScheme):
-            idx = (t0 + np.arange(T)[None, :] + taus[:, None]) % L
-            actions = codes[np.arange(K)[:, None], idx]
-        elif isinstance(scheme, AssignTRandomScheme):
-            actions = _assign_t_codes(scheme, rng.random((K, T)), division)
-        else:
-            actions = _general_codes(scheme, rng.random((K, T)))
-        for m in range(1, W + 1):
-            tx = actions == m
-            uniq = tx.sum(axis=0) == 1
-            txu = tx & uniq[None, :]
-            if not txu.any():
-                continue
-            rx = actions == -m
-            hit3 = txu[:, None, :] & rx[None, :, :]
-            got = hit3.any(axis=2)
-            cand = t0 + hit3.argmax(axis=2)
-            # A pair can succeed on several channels within one chunk;
-            # it keeps the earliest slot over all of them.
-            update = got & ((first < 0) | (cand < first))
-            first[update] = cand[update]
-        t0 += T
-    pending = (first[off_diag] < 0).any()
-    completion = max_slots if pending else int(first[off_diag].max()) + 1
-    return completion, bool(pending), first
-
-
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
     """Execute runs [start, stop); child streams are keyed by run index,
     so results are identical no matter how runs are batched."""
     children = np.random.SeedSequence(config.seed).spawn(config.runs)[start:stop]
-    times = np.empty(stop - start, dtype=np.int64)
-    censored = np.empty(stop - start, dtype=bool)
+    rngs = [np.random.default_rng(child) for child in children]
+    actions = config.scheme.action_source(rngs, config.offset_mode)
+    K, n = config.K, stop - start
+    off_diag = ~np.eye(K, dtype=bool)
+    times = np.empty(n, dtype=np.int64)
+    censored = np.empty(n, dtype=bool)
     pair_tables = [] if config.record_pairs else None
-    for r, child in enumerate(children):
-        completion, pending, first = _run_one(config, np.random.default_rng(child), max_slots)
-        times[r] = completion
-        censored[r] = pending
+    batch = kernel.batch_runs(K, _CHUNK_SLOTS)
+    for lo in range(0, n, batch):
+        ids = np.arange(lo, min(lo + batch, n))
+        first = kernel.run_batch(actions, ids, K, config.W, max_slots, _CHUNK_SLOTS)
+        served = first[:, off_diag]
+        pending = (served < 0).any(axis=1)
+        times[ids] = np.where(pending, max_slots, served.max(axis=1) + 1)
+        censored[ids] = pending
         if pair_tables is not None:
-            pair_tables.append(first)
+            pair_tables.extend(first)
     return times, censored, pair_tables
 
 
@@ -214,19 +240,14 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     max_slots = config.resolved_max_slots()
     if isinstance(config.scheme, SequenceScheme) and max_slots < config.scheme.sset.L:
         raise ValueError("max_slots below one period cannot certify completion")
-    if threads > 1 and config.runs > 1:
-        n = min(threads, config.runs)
-        edges = np.linspace(0, config.runs, n + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(_run_range, config, max_slots, int(a), int(b))
-                       for a, b in zip(edges[:-1], edges[1:]) if b > a]
-            parts = [f.result() for f in futures]
-        times = np.concatenate([p[0] for p in parts])
-        censored = np.concatenate([p[1] for p in parts])
-        pair_tables = ([t for p in parts for t in p[2]] if config.record_pairs else None)
-    else:
-        times, censored, pair_tables = _run_range(config, max_slots, 0, config.runs)
-    per_pair = np.stack(pair_tables) if pair_tables is not None else None
+    n = max(1, min(threads, config.runs))
+    edges = np.linspace(0, config.runs, n + 1, dtype=int)
+    parts = map_in_workers(_run_range, [(config, max_slots, int(a), int(b))
+                                        for a, b in zip(edges[:-1], edges[1:])], threads)
+    times = np.concatenate([p[0] for p in parts])
+    censored = np.concatenate([p[1] for p in parts])
+    per_pair = (np.stack([t for p in parts for t in p[2]])
+                if config.record_pairs else None)
     return SimResult(times, censored, seed=config.seed, max_slots=max_slots,
                      per_pair_first_success=per_pair)
 

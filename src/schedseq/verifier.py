@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from . import kernel
 from .constructor import ScheduleSequenceSet, m_prime, select_params
+from .pool import map_in_workers
 from .seqcore import BinarySequence, correlation_profile
 
 
@@ -187,18 +188,13 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     method = Method.EXHAUSTIVE if mode == "exhaustive" else Method.CONSERVATIVE
     pairs = list(_ordered_pairs(sset.K))
-    if threads > 1 and len(pairs) > 1:
-        n = min(threads, len(pairs))
-        chunks = [pairs[c::n] for c in range(n)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(_check_pair_batch, sset, chunk, mode, budget)
-                       for chunk in chunks]
-            # Back into pair order, so the witness does not depend on threads.
-            reports = [None] * len(pairs)
-            for c, f in enumerate(futures):
-                reports[c::n] = f.result()
-    else:
-        reports = _check_pair_batch(sset, pairs, mode, budget)
+    n = max(1, min(threads, len(pairs)))
+    parts = map_in_workers(_check_pair_batch,
+                           [(sset, pairs[c::n], mode, budget) for c in range(n)], threads)
+    # Back into pair order, so the witness does not depend on threads.
+    reports = [None] * len(pairs)
+    for c, part in enumerate(parts):
+        reports[c::n] = part
     pairs_checked = len(reports)
     for report in reports:
         if report.verdict is Verdict.FAILED_WITH_WITNESS:
@@ -212,33 +208,45 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
 
 def _verify_randomized(sset: ScheduleSequenceSet, samples: int,
                        seed: int) -> VerificationReport:
-    """Sample offset vectors uniformly, hunting for a counterexample."""
+    """Sample offset vectors uniformly, hunting for a counterexample.
+
+    Each sampled offset vector is one run of the collision kernel over a
+    period.  Offsets are drawn 512 samples at a time, which fixes the
+    offset stream; within a draw, pairs are judged channel group by
+    channel group, so the witness is the first failing (group, sample,
+    member, receiver).
+    """
     rng = np.random.default_rng(seed)
     codes = sset.codes_matrix()
     K, L, W = sset.K, sset.L, sset.W
     division = sset.division
     members = {m: np.array(division.members(m)) - 1 for m in range(1, W + 1)}
-    t_idx = np.arange(L)[None, None, :]
+    off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
+    batch = kernel.batch_runs(K, kernel.CHUNK_SLOTS)
     pairs_checked = 0
-    batch = max(1, min(512, samples))
+    draw = max(1, min(512, samples))
     done = 0
     while done < samples:
-        B = min(batch, samples - done)
+        B = min(draw, samples - done)
         taus = rng.integers(0, L, size=(B, K))
-        idx = (t_idx + taus[:, :, None]) % L
-        shifted = codes[np.arange(K)[None, :, None], idx]
+        actions = kernel.cyclic_reads(codes, taus, kernel.CHUNK_SLOTS)
+        # first_bad[b, m - 1]: first unserved (member, receiver) of group m
+        # in sample b, as member rank * K + receiver index; -1 for none.
+        first_bad = np.empty((B, W), dtype=np.int64)
+        for lo in range(0, B, batch):
+            ids = np.arange(lo, min(lo + batch, B))
+            first = kernel.run_batch(actions, ids, K, W, L, kernel.CHUNK_SLOTS)
+            bad = (first < 0) & off_diag
+            for m in range(1, W + 1):
+                flat = bad[:, members[m], :].reshape(ids.size, -1)
+                first_bad[ids, m - 1] = np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
         for m in range(1, W + 1):
-            tx = shifted == m
-            uniq = tx.sum(axis=1) == 1
-            txu = (tx & uniq[:, None, :]).astype(np.int16)
-            rx = (shifted == -m).astype(np.int16)
             g = members[m]
-            counts = txu[:, g, :] @ rx.transpose(0, 2, 1)  # (B, |G_m|, K)
-            ok = counts > 0
-            ok[:, np.arange(g.size), g] = True  # a node need not reach itself
             pairs_checked += B * g.size * (K - 1)
-            if not ok.all():
-                b, gi, j0 = map(int, np.argwhere(~ok)[0])
+            failed = first_bad[:, m - 1] >= 0
+            if failed.any():
+                b = int(failed.argmax())
+                gi, j0 = divmod(int(first_bad[b, m - 1]), K)
                 i = int(g[gi]) + 1
                 j = j0 + 1
                 relevant = set(division.members(m)) | {j}

@@ -1,0 +1,218 @@
+"""The bit-packed collision kernel against slot-by-slot oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from schedseq import kernel
+from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
+from schedseq.random_schemes import AssignTRandomParams, GeneralRandomParams
+from schedseq.seqcore import ScheduleSequence
+from schedseq.simulator import (
+    AssignTRandomScheme,
+    GeneralRandomScheme,
+    SequenceScheme,
+    SimConfig,
+    simulate,
+)
+from schedseq.verifier import Verdict, verify_set
+
+from conftest import brute_force_first_success, pair_ok_for_offsets
+
+
+def random_actions(rng, R: int, K: int, W: int, T: int) -> np.ndarray:
+    """Rows of mixed channels (as in the general scheme), plus one column
+    where every node transmits on channel 1 and one where all listen."""
+    actions = rng.integers(1, W + 1, size=(R, K, T)) * rng.choice([-1, 1], size=(R, K, T))
+    if T > 2:
+        actions[:, :, 1] = 1
+        actions[:, :, 2] = -1
+    return actions
+
+
+class TestFirstDelivery:
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 512])
+    def test_matches_slot_replay(self, T):
+        rng = np.random.default_rng(T)
+        for _ in range(12):
+            K, W = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+            actions = random_actions(rng, 3, K, W, T)
+            got = kernel.first_delivery(actions, W)
+            for r in range(3):
+                assert np.array_equal(got[r], brute_force_first_success(actions[r])), (K, W)
+
+    def test_collision_and_silence_deliver_nothing(self):
+        K, T = 5, 70
+        everyone = np.ones((1, K, T), dtype=np.int16)
+        nobody = -np.ones((1, K, T), dtype=np.int16)
+        idle = np.zeros((1, K, T), dtype=np.int16)
+        for actions in (everyone, nobody, idle):
+            assert (kernel.first_delivery(actions, 2) == -1).all()
+
+    def test_single_transmitter_reaches_its_channel_only(self):
+        # node 0 sends on channel 2 in slot 66; node 1 listens to 2, node 2 to 1
+        actions = -np.ones((1, 3, 70), dtype=np.int16)
+        actions[0, 0, 66] = 2
+        actions[0, 1, :] = -2
+        first = kernel.first_delivery(actions, 2)[0]
+        assert first[0, 1] == 66
+        assert first[0, 2] == -1 and (first[1:] == -1).all()
+
+
+class TestChunkLoop:
+    def test_run_batch_matches_slot_replay(self):
+        # 1300 slots in chunks of 512: pairs served in an early chunk keep
+        # their slot, and runs leave the batch once every pair is served
+        rng = np.random.default_rng(8)
+        K, W, R, slots = 4, 2, 6, 1300
+        table = rng.integers(1, W + 1, size=(R, K, slots)) * rng.choice([-1, 1], size=(R, K, slots))
+        table[:3, 0, :1100] = 1  # in three runs, node 1 listens only from slot 1100
+        source = lambda ids, t0, T: table[ids, :, t0:t0 + T]  # noqa: E731
+        first = kernel.run_batch(source, np.arange(R), K, W, slots, 512)
+        for r in range(R):
+            want = np.array(brute_force_first_success(table[r]))
+            assert np.array_equal(first[r], want), r
+
+    @pytest.mark.parametrize("L", [7, 600])
+    def test_cyclic_reads(self, L):
+        rng = np.random.default_rng(L)
+        K, chunk = 3, 512
+        codes = rng.integers(1, 3, size=(K, L)) * rng.choice([-1, 1], size=(K, L))
+        taus = rng.integers(0, L, size=(4, K))
+        actions = kernel.cyclic_reads(codes, taus, chunk)
+        ids = np.array([3, 1])
+        for t0, T in ((0, chunk), (1024, 100)):
+            got = actions(ids, t0, T)
+            for n, r in enumerate(ids):
+                for x in range(K):
+                    want = [codes[x, (t + taus[r, x]) % L] for t in range(t0, t0 + T)]
+                    assert got[n, x].tolist() == want
+
+
+def one_at_a_time(monkeypatch, config: SimConfig):
+    monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
+    assert kernel.batch_runs(config.K, 512) == 1
+    result = simulate(config)
+    monkeypatch.undo()
+    return result
+
+
+class TestBatchedSimulation:
+    @pytest.mark.parametrize("scheme", [
+        SequenceScheme(build_schedule_set(5, 2, W=2)),
+        AssignTRandomScheme(AssignTRandomParams(2, 6, 0.2)),
+        GeneralRandomScheme(GeneralRandomParams(3, 6, 0.07)),
+    ], ids=["sequence", "assign_t", "general"])
+    def test_batches_equal_single_runs(self, monkeypatch, scheme):
+        # 1300 slots: two full chunks and a short one
+        config = SimConfig(scheme, runs=70, seed=4, max_slots=1300, record_pairs=True)
+        assert kernel.batch_runs(config.K, 512) < config.runs
+        batched = simulate(config)
+        single = one_at_a_time(monkeypatch, config)
+        assert batched == single
+        assert np.array_equal(batched.per_pair_first_success, single.per_pair_first_success)
+
+    def test_censored_runs_match_single_runs(self, monkeypatch):
+        # a cap below most completion times leaves censored and served runs
+        # side by side in one batch
+        scheme = AssignTRandomScheme(AssignTRandomParams(1, 8, 0.125))
+        config = SimConfig(scheme, runs=40, seed=2, max_slots=90, record_pairs=True)
+        batched = simulate(config)
+        assert 0 < batched.censored.sum() < config.runs
+        single = one_at_a_time(monkeypatch, config)
+        assert batched == single
+        assert np.array_equal(batched.per_pair_first_success, single.per_pair_first_success)
+
+    def test_threads_split_a_batch(self):
+        sset = build_schedule_set(4, 2, W=2)
+        batch = kernel.batch_runs(sset.K, 512)
+        runs = 3 * batch + 5
+        assert (runs // 2) % batch != 0  # the two workers' ranges split a batch
+        config = SimConfig(SequenceScheme(sset), runs=runs, seed=6, record_pairs=True)
+        serial = simulate(config)
+        parallel = simulate(config, threads=2)
+        assert serial == parallel
+        assert np.array_equal(serial.per_pair_first_success,
+                              parallel.per_pair_first_success)
+
+
+def partly_deaf(sset: ScheduleSequenceSet, node: int, channel: int, keep: int,
+                rng) -> ScheduleSequenceSet:
+    """node hears `channel` in only `keep` of its slots and listens to the
+    next channel in the others, so some offset vectors fail and some do not."""
+    codes = sset.codes_matrix().copy()
+    row = codes[node - 1]
+    hear = np.flatnonzero(row == -channel)
+    row[rng.choice(hear, size=hear.size - keep, replace=False)] = -(channel % sset.W + 1)
+    seqs = tuple(ScheduleSequence(codes[x], s.owner_group)
+                 for x, s in enumerate(sset.sequences))
+    return ScheduleSequenceSet(seqs)
+
+
+def oracle_randomized(sset: ScheduleSequenceSet, samples: int, seed: int):
+    """Randomized verify replayed slot by slot on the same offset draws:
+    (verdict, pairs_checked, witness as (i, j, offsets) or None)."""
+    rng = np.random.default_rng(seed)
+    K, L, W = sset.K, sset.L, sset.W
+    division = sset.division
+    pairs_checked, done = 0, 0
+    while done < samples:
+        B = min(512, samples - done)
+        taus = rng.integers(0, L, size=(B, K))
+        for m in range(1, W + 1):
+            group = division.members(m)
+            pairs_checked += B * len(group) * (K - 1)
+            for b in range(B):
+                offsets = {x + 1: int(taus[b, x]) for x in range(K)}
+                for i in group:
+                    for j in range(1, K + 1):
+                        if j != i and not pair_ok_for_offsets(sset, i, j, offsets):
+                            kept = {x: offsets[x] for x in sorted(set(group) | {j})}
+                            return Verdict.FAILED_WITH_WITNESS, pairs_checked, (i, j, kept)
+        done += B
+    return Verdict.UNKNOWN, pairs_checked, None
+
+
+class TestRandomizedVerify:
+    # Each case refutes on some seeds; the first and last also answer
+    # UNKNOWN on others, and the K=5 one fails only in group 2, after a
+    # full draw of 512 samples for group 1.
+    @pytest.mark.parametrize("K, M, W, node, keep, samples", [
+        (4, 2, 2, 2, 8, 5),
+        (5, 2, 2, 4, 8, 515),
+        (6, 3, 3, 5, 8, 4),
+    ])
+    def test_deafened_sets_match_slot_replay(self, K, M, W, node, keep, samples):
+        rng = np.random.default_rng(K)
+        sset = partly_deaf(build_schedule_set(K, M, W=W), node, 2, keep, rng)
+        verdicts = set()
+        for seed in range(5):
+            report = verify_set(sset, mode="randomized", samples=samples, seed=seed)
+            verdict, pairs_checked, witness = oracle_randomized(sset, samples, seed)
+            verdicts.add(verdict)
+            assert report.verdict is verdict
+            assert report.pairs_checked == pairs_checked
+            if witness is None:
+                assert report.witness is None
+            else:
+                w = report.witness
+                assert (w.transmitter, w.receiver, w.offsets) == witness
+        assert Verdict.FAILED_WITH_WITNESS in verdicts
+
+    def test_k150_stays_within_the_byte_budget(self):
+        # The budget covers one batch of runs; the slack is the (K, L)
+        # schedule table and its wrapped copy (K x (L + 511) slots), int16,
+        # plus 1 MB of small arrays.
+        sset = build_schedule_set(150, 5)
+        K, L = sset.K, sset.L
+        budget = max(kernel.BATCH_BYTES, kernel.run_bytes(K, kernel.CHUNK_SLOTS))
+        slack = 2 * K * (L + kernel.CHUNK_SLOTS) * 2 + 2 ** 20
+        tracemalloc.start()
+        try:
+            report = verify_set(sset, mode="randomized", samples=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.pairs_checked == 3 * K * (K - 1)
+        assert peak < budget + slack, (peak, budget, slack)
