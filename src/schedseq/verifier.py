@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .constructor import ScheduleSequenceSet, m_prime, select_params
@@ -65,26 +67,84 @@ class VerificationReport:
     witness: Witness | None = None
 
 
-def _pair_masks(sset: ScheduleSequenceSet, i: int, j: int):
-    """Boolean slot masks for one ordered pair: i transmitting on its own
-    channel, j receiving on it, and each potential collider transmitting."""
+def _colliders(division, i: int, j: int) -> list[int]:
+    """The nodes besides i and j that transmit on i's channel."""
     if i == j:
         raise ValueError("transmitter and receiver must differ")
-    division = sset.division
-    m = division.group_of(i)
-    codes = sset.codes_matrix()
-    ti = codes[i - 1] == m
-    rj = codes[j - 1] == -m
-    colliders = [x for x in division.members(m) if x not in (i, j)]
-    tx = [codes[x - 1] == m for x in colliders]
-    return m, ti, rj, colliders, tx
+    return [x for x in division.members(division.group_of(i)) if x not in (i, j)]
 
 
-def _shift_matrix(mask: np.ndarray) -> np.ndarray:
-    """Row tau holds the mask cyclically shifted by tau."""
+class _SetMasks:
+    """Per-node transmit masks of one set, made on first use and shared by
+    the pair checks that read them."""
+
+    def __init__(self, sset: ScheduleSequenceSet) -> None:
+        self.sset = sset
+        self.division = sset.division
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self.sset.codes_matrix()
+
+    @cached_property
+    def tx(self) -> np.ndarray:
+        """(K, L): the slots where each node transmits on its group's channel."""
+        return self.codes == np.array(self.division.assignment)[:, None]
+
+    def pair(self, i: int, j: int):
+        """i transmitting, j receiving on i's channel, and the colliders
+        with their transmit masks."""
+        colliders = _colliders(self.division, i, j)
+        rj = self.codes[j - 1] == -self.division.group_of(i)
+        return self.tx[i - 1], rj, colliders, [self.tx[x - 1] for x in colliders]
+
+
+def _shift_table(mask: np.ndarray) -> np.ndarray:
+    """Row tau is np.roll(mask, -tau): a zero-copy window over the mask
+    written out twice."""
     L = mask.size
-    idx = (np.arange(L)[None, :] + np.arange(L)[:, None]) % L
-    return mask[idx]
+    return sliding_window_view(np.concatenate([mask, mask]), L)[:L]
+
+
+def _axis_blocks(L: int) -> list[slice]:
+    """An offset axis cut into row blocks whose (rows, L) float32 copy fits
+    kernel.BATCH_BYTES; at desk sizes one block covers the axis.
+
+    The float32 products of these blocks count up to L ones, which is exact
+    only below 2^24.
+    """
+    if L >= 2 ** 24:
+        raise ValueError(f"L={L} is beyond the exact float32 range of the pair checks")
+    step = max(1, min(L, kernel.BATCH_BYTES // (4 * L)))
+    return [slice(lo, min(lo + step, L)) for lo in range(0, L, step)]
+
+
+class _Float32Rows:
+    """A shift table's row blocks as float32 matmul operands, each with its
+    first row.  A one-block table is converted once and kept; a longer one
+    is converted block by block on every pass, so that no array with L x L
+    entries is made."""
+
+    def __init__(self, table: np.ndarray, blocks: list[slice]) -> None:
+        self.table, self.blocks = table, blocks
+        self.whole = [(0, table.astype(np.float32))] if len(blocks) == 1 else None
+
+    def __iter__(self):
+        if self.whole is not None:
+            return iter(self.whole)
+        return ((b.start, self.table[b].astype(np.float32)) for b in self.blocks)
+
+
+def _first_zero(rows: np.ndarray, columns: _Float32Rows) -> tuple[int, int] | None:
+    """First zero of rows @ columns.T in row-major order, as (row, column)."""
+    hit = None
+    for start, block in columns:
+        zero = rows @ block.T == 0
+        if zero.any():
+            r = int(zero.any(axis=1).argmax())
+            found = (r, start + int(zero[r].argmax()))
+            hit = found if hit is None else min(hit, found)
+    return hit
 
 
 def success_slots(sset: ScheduleSequenceSet, i: int, j: int,
@@ -94,9 +154,8 @@ def success_slots(sset: ScheduleSequenceSet, i: int, j: int,
     Only offsets of i's group and of j are consulted; missing ones
     default to 0.
     """
-    m, ti, rj, colliders, tx = _pair_masks(sset, i, j)
-    L = sset.L
-    free = np.roll(ti, -offsets.get(i, 0)).copy()
+    ti, rj, colliders, tx = _SetMasks(sset).pair(i, j)
+    free = np.roll(ti, -offsets.get(i, 0))
     for x, txx in zip(colliders, tx):
         free &= ~np.roll(txx, -offsets.get(x, 0))
     ok = free & np.roll(rj, -offsets.get(j, 0))
@@ -112,27 +171,39 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     and the remaining nodes sweep Z_L each.  The budget counts offset
     combinations; exceeding it yields UNKNOWN.
     """
-    _, ti, rj, colliders, tx = _pair_masks(sset, i, j)
-    L = sset.L
-    n_combos = L ** (len(colliders) + 1)
-    if n_combos > budget:
-        return VerificationReport(Verdict.UNKNOWN, Method.EXHAUSTIVE, pairs_checked=1)
+    return _exhaustive(_SetMasks(sset), i, j, budget)
 
-    rj_shifts = _shift_matrix(rj).astype(np.uint8)
-    ti_u8 = ti.astype(np.uint8)
-    tx_rolled = [_shift_matrix(t) for t in tx]
-    for combo in itertools.product(range(L), repeat=len(colliders)):
-        free = ti_u8.copy()
-        for rolled, tau_x in zip(tx_rolled, combo):
-            free &= ~rolled[tau_x]
-        counts = rj_shifts @ free
-        bad = np.flatnonzero(counts == 0)
-        if bad.size:
-            offsets = {i: 0, j: int(bad[0])}
-            offsets.update({x: tau for x, tau in zip(colliders, combo)})
-            return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.EXHAUSTIVE,
-                                      pairs_checked=1,
-                                      witness=Witness(i, j, offsets))
+
+def _exhaustive(masks: _SetMasks, i: int, j: int, budget: int) -> VerificationReport:
+    """check_pair_exhaustive on shared masks.
+
+    All colliders but the last are enumerated.  For each of their offset
+    combinations, the transmit slots left free at every offset of the last
+    collider, times the receiver's shift table, count the deliveries at
+    every (tau_last, tau_j) in one matmul; a zero is a failure.  The first
+    zero in row-major order is the witness, so that the witness is the
+    first failure in itertools.product order over (colliders, receiver).
+    """
+    L = masks.sset.L
+    if L ** (len(_colliders(masks.division, i, j)) + 1) > budget:
+        return VerificationReport(Verdict.UNKNOWN, Method.EXHAUSTIVE, pairs_checked=1)
+    ti, rj, colliders, tx = masks.pair(i, j)
+    blocks = _axis_blocks(L)
+    receive = _Float32Rows(_shift_table(rj), blocks)
+    tables = [_shift_table(t) for t in tx]
+    for combo in itertools.product(range(L), repeat=max(0, len(tables) - 1)):
+        free = ti.copy()
+        for table, tau in zip(tables, combo):
+            free &= ~table[tau]
+        for rows in blocks if tables else [slice(0, 1)]:
+            block = free & ~tables[-1][rows] if tables else free[None, :]
+            hit = _first_zero(block.astype(np.float32), receive)
+            if hit is not None:
+                offsets = {i: 0, j: hit[1]}
+                offsets.update(zip(colliders, combo + (rows.start + hit[0],)))
+                return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.EXHAUSTIVE,
+                                          pairs_checked=1,
+                                          witness=Witness(i, j, offsets))
     return VerificationReport(Verdict.PROVEN, Method.EXHAUSTIVE, pairs_checked=1)
 
 
@@ -145,18 +216,28 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     pair; otherwise the answer is UNKNOWN (never a refutation, since the
     colliders cannot in general realize all maxima simultaneously).
     """
-    _, ti, rj, colliders, tx = _pair_masks(sset, i, j)
-    L = sset.L
-    rj_shifts = _shift_matrix(rj)
-    for tau_j in range(L):
-        match = ti & rj_shifts[tau_j]
-        n_match = int(match.sum())
-        if n_match == 0:
-            return VerificationReport(Verdict.UNKNOWN, Method.CONSERVATIVE, pairs_checked=1)
-        worst = 0
-        for txx in tx:
-            worst += int(correlation_profile(match, txx).max())
-        if n_match - worst < 1:
+    return _conservative(_SetMasks(sset), i, j)
+
+
+def _conservative(masks: _SetMasks, i: int, j: int) -> VerificationReport:
+    """check_pair_conservative on shared masks, a block of receiver offsets
+    at a time: a collider's worst case at each of them is the row maximum
+    of the match rows times its shift table."""
+    ti, rj, _, tx = masks.pair(i, j)
+    L = masks.sset.L
+    blocks = _axis_blocks(L)
+    receive = _shift_table(rj)
+    colliders = [_Float32Rows(_shift_table(t), blocks) for t in tx]
+    for rows in blocks:
+        match = ti & receive[rows]
+        slack = np.count_nonzero(match, axis=1)
+        match = match.astype(np.float32)
+        for shifts in colliders:
+            if (slack < 1).any():
+                break
+            worst = np.maximum.reduce([(match @ block.T).max(axis=1) for _, block in shifts])
+            slack = slack - worst.astype(np.int64)
+        if (slack < 1).any():
             return VerificationReport(Verdict.UNKNOWN, Method.CONSERVATIVE, pairs_checked=1)
     return VerificationReport(Verdict.PROVEN_CONSERVATIVE, Method.CONSERVATIVE, pairs_checked=1)
 
@@ -165,11 +246,26 @@ def _ordered_pairs(K: int):
     return ((i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j)
 
 
-def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int]],
-                      mode: str, budget: int) -> list[VerificationReport]:
-    if mode == "exhaustive":
-        return [check_pair_exhaustive(sset, i, j, budget=budget) for i, j in pairs]
-    return [check_pair_conservative(sset, i, j) for i, j in pairs]
+def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int, int]],
+                      mode: str, budget: int):
+    """Check (index, i, j) pairs in order up to the first decisive one.
+
+    A failed pair decides either mode; an UNKNOWN pair decides conservative
+    mode, which never refutes.  Returns the decisive pair's (index, report)
+    or None, and whether an UNKNOWN pair came before it.
+    """
+    masks = _SetMasks(sset)
+    unknown = False
+    for index, i, j in pairs:
+        if mode == "exhaustive":
+            report = _exhaustive(masks, i, j, budget)
+        else:
+            report = _conservative(masks, i, j)
+        if report.verdict is Verdict.FAILED_WITH_WITNESS or (
+                report.verdict is Verdict.UNKNOWN and mode == "conservative"):
+            return (index, report), unknown
+        unknown |= report.verdict is Verdict.UNKNOWN
+    return None, unknown
 
 
 def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
@@ -179,43 +275,69 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
 
     mode is one of "exhaustive", "conservative" or "randomized";
     randomized search samples whole offset vectors and can only refute or
-    answer UNKNOWN.  threads > 1 spreads pairs over worker processes;
-    per-pair results merge by conjunction, so the verdict is unaffected.
+    answer UNKNOWN.  The exhaustive and conservative checks stop at the
+    first decisive pair in pair order (see _check_pair_batch), and
+    pairs_checked counts the pairs up to it.  threads > 1 spreads pairs,
+    or offset draws, over worker processes; the report does not depend on
+    threads.
     """
     if mode == "randomized":
-        return _verify_randomized(sset, samples, seed)
+        return _verify_randomized(sset, samples, seed, threads)
     if mode not in ("exhaustive", "conservative"):
         raise ValueError(f"unknown mode {mode!r}")
     method = Method.EXHAUSTIVE if mode == "exhaustive" else Method.CONSERVATIVE
-    pairs = list(_ordered_pairs(sset.K))
+    pairs = [(index, i, j) for index, (i, j) in enumerate(_ordered_pairs(sset.K))]
     n = max(1, min(threads, len(pairs)))
     parts = map_in_workers(_check_pair_batch,
                            [(sset, pairs[c::n], mode, budget) for c in range(n)], threads)
-    # Back into pair order, so the witness does not depend on threads.
-    reports = [None] * len(pairs)
-    for c, part in enumerate(parts):
-        reports[c::n] = part
-    pairs_checked = len(reports)
-    for report in reports:
-        if report.verdict is Verdict.FAILED_WITH_WITNESS:
-            return VerificationReport(report.verdict, method,
-                                      pairs_checked, report.witness)
-    if any(r.verdict is Verdict.UNKNOWN for r in reports):
-        return VerificationReport(Verdict.UNKNOWN, method, pairs_checked)
+    # Each worker stops at its own first decisive pair, so the earliest of
+    # those is the first in pair order whatever the thread count.
+    decided = [hit for hit, _ in parts if hit is not None]
+    if decided:
+        index, report = min(decided, key=lambda hit: hit[0])
+        return VerificationReport(report.verdict, method, index + 1, report.witness)
+    if any(unknown for _, unknown in parts):
+        return VerificationReport(Verdict.UNKNOWN, method, len(pairs))
     verdict = Verdict.PROVEN if mode == "exhaustive" else Verdict.PROVEN_CONSERVATIVE
-    return VerificationReport(verdict, method, pairs_checked)
+    return VerificationReport(verdict, method, len(pairs))
 
 
-def _verify_randomized(sset: ScheduleSequenceSet, samples: int,
-                       seed: int) -> VerificationReport:
+def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
+                       threads: int) -> VerificationReport:
     """Sample offset vectors uniformly, hunting for a counterexample.
 
     Each sampled offset vector is one run of the collision kernel over a
     period.  Offsets are drawn 512 samples at a time, which fixes the
     offset stream; within a draw, pairs are judged channel group by
-    channel group, so the witness is the first failing (group, sample,
-    member, receiver).
+    channel group, so the witness is the first failing (draw, group,
+    sample, member, receiver).  threads > 1 gives each worker a
+    contiguous range of draws.
     """
+    K = sset.K
+    draw = max(1, min(512, samples))
+    n_draws = max(0, -(-samples // draw))
+    n = max(1, min(threads, n_draws))
+    edges = [n_draws * c // n for c in range(n + 1)]
+    found = [hit for hit in map_in_workers(
+        _randomized_draws, [(sset, samples, seed, a, b) for a, b in zip(edges[:-1], edges[1:])],
+        threads) if hit is not None]
+    if not found:
+        return VerificationReport(Verdict.UNKNOWN, Method.RANDOMIZED,
+                                  max(0, samples) * K * (K - 1))
+    d, m, witness = min(found, key=lambda hit: hit[0])
+    # Every pair of the draws before d, then groups 1..m of draw d.
+    B = min(draw, samples - d * draw)
+    served = sum(len(sset.division.members(g)) for g in range(1, m + 1))
+    pairs_checked = (d * draw * K + B * served) * (K - 1)
+    return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.RANDOMIZED,
+                              pairs_checked, witness)
+
+
+def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
+                      first: int, stop: int) -> tuple[int, int, Witness] | None:
+    """Offset draws [first, stop) of a randomized verification, the offset
+    stream replayed from the seed.  Returns the first failure as (draw,
+    group, witness), or None."""
     rng = np.random.default_rng(seed)
     codes = sset.codes_matrix()
     K, L, W = sset.K, sset.L, sset.W
@@ -223,38 +345,34 @@ def _verify_randomized(sset: ScheduleSequenceSet, samples: int,
     members = {m: np.array(division.members(m)) - 1 for m in range(1, W + 1)}
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
     batch = kernel.batch_runs(K, kernel.CHUNK_SLOTS)
-    pairs_checked = 0
     draw = max(1, min(512, samples))
-    done = 0
-    while done < samples:
-        B = min(draw, samples - done)
+    for d in range(stop):
+        B = min(draw, samples - d * draw)
         taus = rng.integers(0, L, size=(B, K))
+        if d < first:
+            continue
         actions = kernel.cyclic_reads(codes, taus, kernel.CHUNK_SLOTS)
         # first_bad[b, m - 1]: first unserved (member, receiver) of group m
         # in sample b, as member rank * K + receiver index; -1 for none.
         first_bad = np.empty((B, W), dtype=np.int64)
         for lo in range(0, B, batch):
             ids = np.arange(lo, min(lo + batch, B))
-            first = kernel.run_batch(actions, ids, K, W, L, kernel.CHUNK_SLOTS)
-            bad = (first < 0) & off_diag
+            got = kernel.run_batch(actions, ids, K, W, L, kernel.CHUNK_SLOTS)
+            bad = (got < 0) & off_diag
             for m in range(1, W + 1):
                 flat = bad[:, members[m], :].reshape(ids.size, -1)
                 first_bad[ids, m - 1] = np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
         for m in range(1, W + 1):
-            g = members[m]
-            pairs_checked += B * g.size * (K - 1)
             failed = first_bad[:, m - 1] >= 0
             if failed.any():
                 b = int(failed.argmax())
                 gi, j0 = divmod(int(first_bad[b, m - 1]), K)
-                i = int(g[gi]) + 1
+                i = int(members[m][gi]) + 1
                 j = j0 + 1
                 relevant = set(division.members(m)) | {j}
                 offsets = {x: int(taus[b, x - 1]) for x in sorted(relevant)}
-                return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.RANDOMIZED,
-                                          pairs_checked, Witness(i, j, offsets))
-        done += B
-    return VerificationReport(Verdict.UNKNOWN, Method.RANDOMIZED, pairs_checked)
+                return d, m, Witness(i, j, offsets)
+    return None
 
 
 # --- blocking algorithm and recursive bound sequences ----------------------

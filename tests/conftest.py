@@ -111,3 +111,29 @@ def brute_force_first_success(actions) -> list[list[int]]:
 def brute_force_cross_correlation(bits_a, bits_b, tau: int) -> int:
     L = len(bits_a)
     return sum(int(bits_a[t]) * int(bits_b[(t + tau) % L]) for t in range(L))
+
+
+def conservative_slack(sset: ScheduleSequenceSet, i: int, j: int) -> int:
+    """Least slack of the conservative check over all receiver offsets.
+
+    For each receiver offset: the transmit/receive match slots, minus per
+    collider the most of them it covers at any one shift, by direct sums
+    over slots and shifts.  The check proves the pair when this is >= 1.
+    """
+    division = sset.division
+    m = division.group_of(i)
+    L = sset.L
+    codes = [[int(c) for c in s.codes] for s in sset.sequences]
+    tx_i = [c == m for c in codes[i - 1]]
+    rx_j = [c == -m for c in codes[j - 1]]
+    colliders = [[c == m for c in codes[x - 1]]
+                 for x in division.members(m) if x not in (i, j)]
+    least = None
+    for tau_j in range(L):
+        match = [tx_i[t] and rx_j[(t + tau_j) % L] for t in range(L)]
+        slack = sum(match)
+        for tx in colliders:
+            slack -= max(sum(1 for t in range(L) if match[t] and tx[(t + tau_x) % L])
+                         for tau_x in range(L))
+        least = slack if least is None else min(least, slack)
+    return least

@@ -282,6 +282,22 @@ class TestVerify(_VerifyFileCases):
         assert code == 3
         assert last_json(out)["verdict"] == "unknown"
 
+    @pytest.mark.parametrize("seed, code", [(0, 3), (3, 2)])
+    def test_randomized_threads_print_the_same(self, capsys, tmp_path, seed, code):
+        # Two nodes that each send in one slot of 1500 fail only at equal
+        # offsets; seed 3 first meets that in the second draw of 512, which
+        # the second of two workers holds, and seed 0 never does.
+        row = -np.ones(1500, dtype=np.int16)
+        row[0] = 1
+        path = tmp_path / "pair.json"
+        save_set(ScheduleSequenceSet((ScheduleSequence(row, 1), ScheduleSequence(row, 1))),
+                 str(path))
+        outs = [run_cli(capsys, "verify", "--in", str(path), "--mode", "randomized",
+                        "--samples", "1100", "--seed", str(seed), "--threads", threads)
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == code
+
     def test_conservative_mode(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",

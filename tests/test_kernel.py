@@ -200,6 +200,29 @@ class TestRandomizedVerify:
                 assert (w.transmitter, w.receiver, w.offsets) == witness
         assert Verdict.FAILED_WITH_WITNESS in verdicts
 
+    def test_threads_give_the_serial_report(self):
+        # Two nodes that each send in one slot of 1500 fail when their
+        # offsets coincide (p = 1/1500).  Over 1100 samples, three draws
+        # split over two workers as [0] and [1, 2], some seeds fail in the
+        # first draw, some in the second and some not at all.
+        row = -np.ones(1500, dtype=np.int16)
+        row[0] = 1
+        sset = ScheduleSequenceSet((ScheduleSequence(row, 1), ScheduleSequence(row, 1)))
+        outcomes = set()
+        for seed in range(10):
+            serial = verify_set(sset, mode="randomized", samples=1100, seed=seed)
+            assert verify_set(sset, mode="randomized", samples=1100, seed=seed,
+                              threads=2) == serial
+            if serial.witness is None:
+                assert serial.pairs_checked == 1100 * 2
+                outcomes.add("unknown")
+            else:
+                w = serial.witness
+                assert not pair_ok_for_offsets(sset, w.transmitter, w.receiver, w.offsets)
+                # every pair of the draws up to and including the failing one
+                outcomes.add(f"draw {serial.pairs_checked // (512 * 2) - 1}")
+        assert outcomes == {"unknown", "draw 0", "draw 1"}
+
     def test_k150_stays_within_the_byte_budget(self):
         # The budget covers one batch of runs; the slack is the (K, L)
         # schedule table and its wrapped copy (K x (L + 511) slots), int16,

@@ -1,9 +1,13 @@
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from schedseq import kernel, verifier
+from schedseq.cli import main as cli_main, save_set
 from schedseq.constructor import (
     ScheduleSequenceSet,
     build_schedule_set,
@@ -26,9 +30,47 @@ from schedseq.verifier import (
 
 from conftest import (
     brute_force_pair_check,
+    conservative_slack,
     pair_ok_for_offsets,
     seq_from_str,
 )
+
+# (K, M, W) of the constructed sets with K <= 5; W None is the default.
+DESK_SETS = [(2, 1, None), (2, 2, 2), (3, 2, None), (3, 2, 2), (4, 2, None),
+             (4, 2, 2), (5, 2, None), (5, 2, 2), (3, 3, 3), (4, 3, 3), (5, 3, 3)]
+
+
+def with_codes(sset: ScheduleSequenceSet, codes) -> ScheduleSequenceSet:
+    return ScheduleSequenceSet(tuple(
+        ScheduleSequence(row, s.owner_group) for row, s in zip(codes, sset.sequences)))
+
+
+def one_slot_mutations(sset: ScheduleSequenceSet, count: int, seed: int):
+    """count sets that each differ from sset in one slot of one node, which
+    there transmits on its own channel or listens to another channel."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        codes = sset.codes_matrix().copy()
+        x, t = int(rng.integers(sset.K)), int(rng.integers(sset.L))
+        own = sset.sequences[x].owner_group
+        choices = [c for c in [own] + [-m for m in range(1, sset.W + 1)] if c != codes[x, t]]
+        codes[x, t] = choices[int(rng.integers(len(choices)))]
+        out.append(with_codes(sset, codes))
+    return out
+
+
+def ordered_pairs(K: int):
+    return [(i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j]
+
+
+def partly_deaf_k5(keep: int) -> ScheduleSequenceSet:
+    """build_schedule_set(5, 2, W=2) with node 2 hearing channel 1 in only
+    its first `keep` such slots and listening to channel 2 in the others."""
+    sset = build_schedule_set(5, 2, W=2)
+    codes = sset.codes_matrix().copy()
+    codes[1][np.flatnonzero(codes[1] == -1)[keep:]] = -2
+    return with_codes(sset, codes)
 
 
 class TestCheckPairExhaustive:
@@ -131,6 +173,140 @@ class TestCheckPairConservative:
                         assert exh.verdict is Verdict.PROVEN, (sset.L, i, j)
 
 
+def named_set(request, spec) -> ScheduleSequenceSet:
+    """A set named by its fixture, or built from (K, M, W)."""
+    if isinstance(spec, str):
+        return request.getfixturevalue(spec)
+    K, M, W = spec
+    return build_schedule_set(K, M, W=W)
+
+
+def check_against_oracles(sets, rng) -> int:
+    """Both pair checks of every pair of every set against the loop
+    oracles; returns the number of refuted pairs."""
+    refuted = 0
+    for sset in sets:
+        feasible = sset.L ** sset.K <= 4000  # brute force sweeps L^K offset vectors
+        for i, j in ordered_pairs(sset.K):
+            exh = check_pair_exhaustive(sset, i, j)
+            cons = check_pair_conservative(sset, i, j)
+            if feasible:
+                assert (exh.verdict is Verdict.PROVEN) == brute_force_pair_check(sset, i, j)
+            if exh.verdict is Verdict.FAILED_WITH_WITNESS:
+                refuted += 1
+                w = exh.witness
+                assert (w.transmitter, w.receiver) == (i, j)
+                assert success_slots(sset, i, j, w.offsets) == []
+                assert pair_ok_for_offsets(sset, i, j, w.offsets) is False
+                assert cons.verdict is Verdict.UNKNOWN  # never proves a refuted pair
+            else:
+                assert exh.verdict is Verdict.PROVEN
+                for _ in range(5):
+                    offsets = {x: int(rng.integers(sset.L)) for x in range(1, sset.K + 1)}
+                    assert pair_ok_for_offsets(sset, i, j, offsets)
+    return refuted
+
+
+class TestWholeAxisChecks:
+    """The matmul pair checks against loop-only oracles, on the sets with
+    K <= 5 and on one-slot mutations of them."""
+
+    @pytest.mark.parametrize("spec", ["two_node_set", "three_node_set"] + DESK_SETS)
+    def test_desk_sets_and_mutations(self, request, spec):
+        base = named_set(request, spec)
+        seed = sum(map(ord, str(spec)))
+        check_against_oracles([base] + one_slot_mutations(base, 2, seed),
+                              np.random.default_rng(seed))
+
+    def test_mutations_do_refute(self):
+        # the comparisons above meet refuted pairs, not only proofs
+        sets = one_slot_mutations(build_schedule_set(4, 2), 4, seed=1)
+        assert check_against_oracles(sets, np.random.default_rng(1)) > 0
+
+    @pytest.mark.parametrize("spec", ["two_node_set", "three_node_set", (2, 1, None),
+                                      (3, 2, None), (2, 2, 2), (3, 2, 2), (4, 2, None)])
+    def test_conservative_matches_the_slack_oracle(self, request, spec):
+        base = named_set(request, spec)
+        verdicts = set()
+        for sset in [base] + one_slot_mutations(base, 3, sum(map(ord, str(spec)))):
+            for i, j in ordered_pairs(sset.K):
+                want = conservative_slack(sset, i, j) >= 1
+                got = check_pair_conservative(sset, i, j).verdict
+                assert (got is Verdict.PROVEN_CONSERVATIVE) == want, (i, j)
+                verdicts.add(got)
+        assert Verdict.PROVEN_CONSERVATIVE in verdicts
+
+    def test_witness_of_the_offset_loop(self, capsys, tmp_path):
+        # The per-offset loop that the matmul replaced printed this witness
+        # (with pairs_checked 20): tau_5 = 5 is a matmul row and tau_2 = 13
+        # a column, and (1, 2) is the first pair.
+        path = tmp_path / "deaf.json"
+        save_set(partly_deaf_k5(36), str(path))
+        assert cli_main(["verify", "--in", str(path), "--mode", "exhaustive",
+                         "--threads", "1"]) == 2
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert doc["witness"] == {"transmitter": 1, "receiver": 2,
+                                  "offsets": {"1": 0, "2": 13, "3": 0, "5": 5}}
+        assert doc["pairs_checked"] == 1
+
+    def test_split_axes_give_the_one_block_answer(self, monkeypatch):
+        sets = [partly_deaf_k5(36), *one_slot_mutations(build_schedule_set(5, 2, W=2), 1, seed=3)]
+
+        def reports(pairs):
+            return [(check_pair_exhaustive(s, i, j), check_pair_conservative(s, i, j))
+                    for s in sets for i, j in pairs]
+        whole = reports(ordered_pairs(5))
+        # 47 rows a block cut both offset axes of L = 140 into three
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 4 * 140 * 47)
+        assert reports(ordered_pairs(5)) == whole
+        # 13 rows a block: pair (1, 2) of the first set fails at (tau_5,
+        # tau_2) = (5, 13) in the second column block and at (7, 12) in the
+        # first; the witness is the first in row-major order, (5, 13)
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 4 * 140 * 13)
+        assert reports([(1, 2)]) == whole[::20]
+
+
+class TestBoundedMemory:
+    # Peak of a pair check that decides in its first block: the (rows, L)
+    # bool and float32 blocks of both operands fit three budgets, plus 1 MB
+    # of masks and small arrays.  One L x L float32 array would be 64 MB.
+    L = 4096
+    PEAK = 3 * kernel.BATCH_BYTES + 2 ** 20
+
+    def deaf_pair(self) -> ScheduleSequenceSet:
+        """Nodes 1 and 2 alternate sending and listening on channel 1;
+        node 3 never listens to channel 1."""
+        talk = np.where(np.arange(self.L) % 2 == 0, 1, -1).astype(np.int16)
+        deaf = np.full(self.L, -2, dtype=np.int16)
+        deaf[0] = 2
+        return ScheduleSequenceSet((ScheduleSequence(talk, 1), ScheduleSequence(talk.copy(), 1),
+                                    ScheduleSequence(deaf, 2)))
+
+    def peak_of(self, check, sset):
+        tracemalloc.start()
+        try:
+            report = check(sset, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK < self.L * self.L * 4, peak
+        return report
+
+    def test_exhaustive(self):
+        report = self.peak_of(check_pair_exhaustive, self.deaf_pair())
+        assert report.verdict is Verdict.FAILED_WITH_WITNESS
+        assert report.witness.offsets == {1: 0, 2: 0, 3: 0}
+
+    def test_conservative(self):
+        report = self.peak_of(check_pair_conservative, self.deaf_pair())
+        assert report.verdict is Verdict.UNKNOWN
+
+    def test_float32_counts_stay_exact(self):
+        # the matmuls count up to L ones in float32, exact below 2^24
+        with pytest.raises(ValueError):
+            verifier._axis_blocks(2 ** 24)
+
+
 class TestVerifySet:
     def test_reference_set_proven(self, three_node_set):
         rep = verify_set(three_node_set, mode="exhaustive")
@@ -181,6 +357,39 @@ class TestVerifySet:
         parallel = verify_set(bad, mode="exhaustive", threads=2)
         assert (serial.witness.transmitter, serial.witness.receiver) == (1, 3)
         assert parallel == serial
+
+    def test_stops_at_the_first_decisive_pair(self):
+        # The exhaustive check stops at the first refuted pair, and the
+        # conservative one at the first UNKNOWN pair, which comes earlier:
+        # pair (1, 2) is proven but not conservatively.
+        bad = partly_deaf_k5(40)
+        pairs = ordered_pairs(5)
+        failed = [n for n, (i, j) in enumerate(pairs)
+                  if check_pair_exhaustive(bad, i, j).verdict is Verdict.FAILED_WITH_WITNESS]
+        unknown = [n for n, (i, j) in enumerate(pairs)
+                   if check_pair_conservative(bad, i, j).verdict is Verdict.UNKNOWN]
+        assert failed[0] > unknown[0]
+        for threads in (1, 2):
+            exh = verify_set(bad, mode="exhaustive", threads=threads)
+            assert exh.verdict is Verdict.FAILED_WITH_WITNESS
+            assert exh.pairs_checked == failed[0] + 1
+            assert exh.witness == check_pair_exhaustive(bad, *pairs[failed[0]]).witness
+            cons = verify_set(bad, mode="conservative", threads=threads)
+            assert (cons.verdict, cons.pairs_checked) == (Verdict.UNKNOWN, unknown[0] + 1)
+
+    def test_a_failed_pair_outranks_an_earlier_unknown(self):
+        # With 20000 offset combinations a pair, the pairs from group 1 to
+        # group 2 (140^3 combinations) are UNKNOWN, and the first of them
+        # comes before the refuted pair (2, 4).
+        sset = build_schedule_set(5, 2, W=2)
+        codes = sset.codes_matrix().copy()
+        codes[3][codes[3] == -2] = -1
+        for threads in (1, 2):
+            rep = verify_set(with_codes(sset, codes), budget=20000, threads=threads)
+            assert rep.verdict is Verdict.FAILED_WITH_WITNESS
+            assert (rep.witness.transmitter, rep.witness.receiver, rep.pairs_checked) == (2, 4, 7)
+            clean = verify_set(sset, budget=20000, threads=threads)
+            assert (clean.verdict, clean.pairs_checked) == (Verdict.UNKNOWN, 20)
 
     def test_unknown_mode_rejected(self, three_node_set):
         with pytest.raises(ValueError):
