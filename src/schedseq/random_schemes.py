@@ -1,20 +1,22 @@
 """Closed-form analysis of the probabilistic transmission schemes.
 
 Per-slot success probabilities for the fully random scheme and for the
-group-based (own-channel transmit) scheme, numeric optimization of the
-transmit probability, and the coupon-collector computation of the frame
-length needed to hit a target all-to-all completion probability.
+group-based (own-channel transmit) scheme, the optimal transmit
+probability, and the coupon-collector computation of the frame length
+needed to hit a target all-to-all completion probability.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-# The alternating coupon-collector sum loses float precision as the
-# binomial coefficients grow; beyond this many nodes we refuse to answer
-# rather than return noise.
-MAX_COUPON_NODES = 40
+import numpy as np
+
+# frame_length gives up when 2**_MAX_SLOTS_LOG2 slots miss the target.
+_MAX_SLOTS_LOG2 = 30
+# The at most _MAX_SLOTS_LOG2 + 1 float64 (K-1)x(K-1) chain powers that
+# frame_length keeps must fit in this many bytes, which admits K <= 1041.
+_MAX_CHAIN_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -78,70 +80,40 @@ def p_success_assignT(W: int, K: int, p_b: float) -> float:
     return p_b * (1 - p_b) ** (K / W) / (W - p_b)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Maximizer of a unimodal f on [lo, hi] to absolute tolerance tol."""
-    inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
 def optimize_random(W: int, K: int, scheme: str = "general") -> tuple[float, float]:
     """Best transmit probability and success probability for a scheme.
 
-    A coarse grid scan brackets the maximum and golden-section search
-    narrows it; a final bisection on the exact log-derivative removes the
-    comparison-noise floor golden section hits on flat maxima.  With one
-    channel both schemes reduce to p*(1-p)^(K-1), maximized at p = 1/K.
+    Both success probabilities are strictly log-concave on (0, hi): every
+    term of the general log-derivative decreases, and for AssignT
+    1/(W-p)^2 <= (K/W)/(1-p)^2 whenever W <= K (for W > K, 1/(W-p)^2 < 1/p^2).
+    So the log-derivative has one root, which bisection pins down to
+    adjacent floats.  With one channel both schemes reduce to
+    p*(1-p)^(K-1), maximized at p = 1/K.
     """
+    if W < 1 or K < 2:
+        raise ValueError("need W >= 1 and K >= 2")
     if scheme == "general":
-        hi = 1 / W
-
-        def f(p: float) -> float:
-            return p * (1 - W * p) * (1 - p) ** (K - 2)
+        hi, success = 1 / W, p_success_general
 
         def dlogf(p: float) -> float:
             return 1 / p - W / (1 - W * p) - (K - 2) / (1 - p)
     elif scheme == "assign_t":
-        hi = 1.0
-
-        def f(p: float) -> float:
-            return p * (1 - p) ** (K / W) / (W - p)
+        hi, success = 1.0, p_success_assignT
 
         def dlogf(p: float) -> float:
             return 1 / p - (K / W) / (1 - p) + 1 / (W - p)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    grid_n = 10 ** 4
-    eps = hi / grid_n
-    best_idx = max(range(1, grid_n), key=lambda n: f(n * eps))
-    lo_b = max(eps / 2, (best_idx - 1) * eps)
-    hi_b = min(hi - eps / 2, (best_idx + 1) * eps)
-    p_star = _golden_section_max(f, lo_b, hi_b)
-    pad = 2 * eps
-    a = max(eps / 2, p_star - pad)
-    b = min(hi - eps / 2, p_star + pad)
-    if dlogf(a) > 0 > dlogf(b):
-        for _ in range(80):
-            mid = (a + b) / 2
-            if dlogf(mid) > 0:
-                a = mid
-            else:
-                b = mid
-        p_star = (a + b) / 2
-    return p_star, f(p_star)
+    a, b = 0.0, hi
+    mid = hi / 2
+    while a < mid < b:
+        if dlogf(mid) > 0:
+            a = mid
+        else:
+            b = mid
+        mid = (a + b) / 2
+    return mid, success(W, K, mid)
 
 
 def optimal_single_channel(K: int) -> tuple[float, float]:
@@ -166,11 +138,11 @@ class CouponModel:
     def __post_init__(self) -> None:
         if self.K < 2:
             raise ValueError("need K >= 2")
-        if self.K > MAX_COUPON_NODES:
-            raise ValueError(
-                f"K={self.K} exceeds the float-precision guard ({MAX_COUPON_NODES})")
         if not 0 < self.P or (self.K - 1) * self.P > 1:
             raise ValueError("need 0 < P and (K-1)*P <= 1")
+        if 8 * (self.K - 1) ** 2 * (_MAX_SLOTS_LOG2 + 1) > _MAX_CHAIN_BYTES:
+            raise ValueError(f"K={self.K} too large: the coupon chain's matrix "
+                             f"powers would pass {_MAX_CHAIN_BYTES >> 20} MB")
 
     @classmethod
     def from_optimal(cls, K: int) -> "CouponModel":
@@ -180,26 +152,34 @@ class CouponModel:
     def p0(self) -> float:
         return 1 - (self.K - 1) * self.P
 
+    def step_matrix(self) -> np.ndarray:
+        """One slot of the chain over "n of the K-1 neighbors heard", n < K-1.
+
+        Upper bidiagonal: stay with probability 1 - (K-1-n) P, else hear a
+        new neighbor.  Hearing the last one leaves the matrix, so the
+        chain's tail after ell slots, e0 Q^ell 1, is a sum of
+        non-negative terms and nothing cancels.
+        """
+        n = self.K - 1
+        new = (n - np.arange(n)) * self.P
+        Q = np.diag(1 - new)
+        Q[np.arange(n - 1), np.arange(1, n)] = new[:-1]
+        return Q
+
+
+def _node_cdf(row: np.ndarray) -> float:
+    """Completion probability once the chain is at `row`: one minus its tail."""
+    return max(0.0, 1.0 - float(row.sum()))
+
 
 def coupon_cdf(model: CouponModel, ell: int) -> float:
     """Probability that one node has heard all K-1 neighbors within ell slots.
 
-    Alternating inclusion-exclusion sum, evaluated with compensated
-    summation and clamped to [0, 1].
+    One minus the chain's tail e0 Q^ell 1.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    K, p0 = model.K, model.p0
-    n = K - 1
-    total = 0.0
-    comp = 0.0
-    for i in range(n):
-        term = (-1.0) ** (n - 1 - i) * math.comb(n, i) * (((n - i) * p0 + i) / n) ** ell
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return min(1.0, max(0.0, 1.0 - total))
+    return _node_cdf(np.linalg.matrix_power(model.step_matrix(), int(ell))[0])
 
 
 def group_cdf(model: CouponModel, ell: int) -> float:
@@ -215,23 +195,26 @@ def frame_length(K: int, target: float = 0.99999,
                  model: CouponModel | None = None) -> int:
     """Smallest slot count whose completion probability reaches the target.
 
-    Exponential growth finds an upper bracket, then binary search exploits
-    the CDF's monotonicity.
+    Squares the chain's step matrix until 2^m slots reach the target, then
+    builds the longest failing slot count from those powers, bit by bit
+    from the top; the answer is one more.
     """
     if not 0 < target < 1:
         raise ValueError("target must lie in (0, 1)")
     if model is None:
         model = CouponModel.from_optimal(K)
-    hi = 1
-    while group_cdf(model, hi) < target:
-        hi *= 2
-        if hi > 10 ** 9:
-            raise RuntimeError("target not reachable within 1e9 slots")
-    lo = hi // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if group_cdf(model, mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+
+    def reached(row: np.ndarray) -> bool:
+        return _node_cdf(row) ** model.K >= target
+
+    powers = [model.step_matrix()]
+    while not reached(powers[-1][0]):
+        if len(powers) > _MAX_SLOTS_LOG2:
+            raise RuntimeError(f"target not reachable within 2^{_MAX_SLOTS_LOG2} slots")
+        powers.append(powers[-1] @ powers[-1])
+    row, ell = np.eye(1, model.K - 1)[0], 0
+    for k in reversed(range(len(powers) - 1)):
+        ahead = row @ powers[k]
+        if not reached(ahead):
+            row, ell = ahead, ell + 2 ** k
+    return ell + 1

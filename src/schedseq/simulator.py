@@ -118,6 +118,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run")
+        if self.max_slots is not None and self.max_slots < 1:
+            raise ValueError("max_slots must be >= 1")
         if isinstance(self.offset_mode, str) and self.offset_mode not in ("uniform", "zero"):
             raise ValueError(f"unknown offset mode {self.offset_mode!r}")
 

@@ -282,6 +282,8 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
     threads.
     """
     if mode == "randomized":
+        if samples < 1:
+            raise ValueError("randomized verification needs samples >= 1")
         return _verify_randomized(sset, samples, seed, threads)
     if mode not in ("exhaustive", "conservative"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,8 +316,8 @@ def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
     contiguous range of draws.
     """
     K = sset.K
-    draw = max(1, min(512, samples))
-    n_draws = max(0, -(-samples // draw))
+    draw = min(512, samples)
+    n_draws = -(-samples // draw)
     n = max(1, min(threads, n_draws))
     edges = [n_draws * c // n for c in range(n + 1)]
     found = [hit for hit in map_in_workers(
@@ -323,7 +325,7 @@ def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
         threads) if hit is not None]
     if not found:
         return VerificationReport(Verdict.UNKNOWN, Method.RANDOMIZED,
-                                  max(0, samples) * K * (K - 1))
+                                  samples * K * (K - 1))
     d, m, witness = min(found, key=lambda hit: hit[0])
     # Every pair of the draws before d, then groups 1..m of draw d.
     B = min(draw, samples - d * draw)
@@ -345,7 +347,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     members = {m: np.array(division.members(m)) - 1 for m in range(1, W + 1)}
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
     batch = kernel.batch_runs(K, kernel.CHUNK_SLOTS)
-    draw = max(1, min(512, samples))
+    draw = min(512, samples)
     for d in range(stop):
         B = min(draw, samples - d * draw)
         taus = rng.integers(0, L, size=(B, K))

@@ -298,6 +298,14 @@ class TestVerify(_VerifyFileCases):
         assert outs[0] == outs[1]
         assert outs[0][0] == code
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_randomized_without_samples_exit_1(self, capsys, tmp_path, three_node_set, samples):
+        path = tmp_path / "ref.json"
+        save_set(three_node_set, str(path))
+        code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                                 "--mode", "randomized", "--samples", samples)
+        assert code == 1 and "samples" in err and out == ""
+
     def test_conservative_mode(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",
@@ -344,6 +352,14 @@ class TestFramelen:
         _, out, _ = run_cli(capsys, "framelen", "--K", "2", "--target", "0.5")
         assert last_json(out)["L_rand"] == 5
 
+    def test_grid_size(self, capsys):
+        code, out, _ = run_cli(capsys, "framelen", "--K", "150")
+        assert code == 0 and last_json(out)["L_rand"] == 8738
+
+    def test_oversized_chain_exit_1(self, capsys):
+        code, _, _ = run_cli(capsys, "framelen", "--K", "5000")
+        assert code == 1
+
 
 class TestSimulate:
     def test_sequence_run_within_period(self, capsys, tmp_path):
@@ -381,6 +397,20 @@ class TestSimulate:
                                "--threads", "1", "--out", str(csv_path))
         assert code == 0
         assert last_json(out)["runs"] == 60
+
+    def test_random_scheme_past_forty_nodes(self, capsys, tmp_path):
+        # the default slot cap is 20 frame lengths, 20 * 3174 at K=60
+        code, out, _ = run_cli(capsys, "simulate", "--random", "--K", "60",
+                               "--runs", "2", "--threads", "1",
+                               "--out", str(tmp_path / "r60.csv"))
+        assert code == 0
+        assert last_json(out)["max_slots"] == 20 * 3174
+
+    def test_nonpositive_max_slots_exit_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--random", "--K", "6",
+                               "--runs", "2", "--max-slots", "0",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and "max_slots" in err
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--runs", "5",

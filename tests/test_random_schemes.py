@@ -15,7 +15,6 @@ from schedseq.random_schemes import (
     p_success_assignT,
     p_success_general,
 )
-from schedseq.random_schemes import _golden_section_max
 
 
 def mc_collection_times(K: int, P: float, trials: int, rng, nodes: int = 1) -> np.ndarray:
@@ -36,6 +35,48 @@ def mc_collection_times(K: int, P: float, trials: int, rng, nodes: int = 1) -> n
             y += rng.geometric((K - 1 - c) * P, size=(n, nodes))
         out[start:start + n] = y.max(axis=1)
     return out
+
+
+def dp_cdf(K: int, P: float, horizon: int) -> np.ndarray:
+    """Single-node CDF for ell = 0..horizon by an exact per-slot recursion.
+
+    Forward recursion over all K states "c coupons collected", the last
+    one absorbing; the CDF is the absorbed mass, so it shares no code or
+    arithmetic route with the library's tail of matrix powers.
+    """
+    left = K - 1 - np.arange(K - 1)
+    stay = 1 - left * P
+    probs = np.zeros(K)
+    probs[0] = 1.0
+    out = np.empty(horizon + 1)
+    for t in range(horizon + 1):
+        out[t] = probs[K - 1]
+        moved = probs[:-1] * left * P
+        probs[:-1] *= stay
+        probs[1:] += moved
+    return out
+
+
+def inclusion_exclusion_cdf(K: int, P: float, ell: int) -> float:
+    """Single-node CDF by the alternating inclusion-exclusion sum.
+
+    The sum cancels away precision as the binomial coefficients grow,
+    worst while every term is near 1: at K=30 it is off by 1e-8 for
+    ell < K and by 6e-12 for ell >= 3K.  So it is an oracle for K <= 30
+    and ell >= 3K only.  Compensated summation keeps the cancellation
+    from getting worse.
+    """
+    n = K - 1
+    p0 = 1 - n * P
+    total = 0.0
+    comp = 0.0
+    for i in range(n):
+        term = (-1.0) ** (n - 1 - i) * math.comb(n, i) * (((n - i) * p0 + i) / n) ** ell
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return 1.0 - total
 
 
 class TestSuccessProbabilities:
@@ -110,16 +151,28 @@ class TestOptimizeRandom:
             assert P_star >= dense_best - 1e-12
             assert f(W, K, p_star) == pytest.approx(P_star)
 
-    def test_maximizer_scale_invariant(self):
-        f = lambda x: x * (1 - x) ** 9
-        g = lambda x: 3.7 * f(x)
-        a = _golden_section_max(f, 0.01, 0.5)
-        b = _golden_section_max(g, 0.01, 0.5)
-        assert abs(a - b) < 1e-9
+    @pytest.mark.parametrize("W,K,scheme,want", [
+        (3, 18, "assign_t", (0.14921894064178787, 0.01985029496477254)),
+        (8, 200, "assign_t", (0.03864100083479745, 0.00181217885877418)),
+        (2, 10, "general", (0.08915047169858492, 0.03470639744043558)),
+        (1, 24, "general", (0.04166666666666666, 0.015655625621109674)),
+        (5, 3, "general", (0.09449495366961067, 0.04513804324169671)),
+    ])
+    def test_pinned_floats(self, W, K, scheme, want):
+        # exact floats: simulate --random draws with p, so its CSV and JSON
+        # bytes move with any change in the last bit
+        assert optimize_random(W, K, scheme) == want
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             optimize_random(1, 5, "other")
+
+    @pytest.mark.parametrize("scheme", ["general", "assign_t"])
+    @pytest.mark.parametrize("W,K", [(0, 5), (-1, 5), (2, 1)])
+    def test_bad_sizes_rejected(self, scheme, W, K):
+        # W = 0 used to escape as ZeroDivisionError, which the CLI does not catch
+        with pytest.raises(ValueError):
+            optimize_random(W, K, scheme)
 
 
 class TestCouponCdf:
@@ -160,30 +213,39 @@ class TestCouponCdf:
 
     def test_matches_markov_recursion(self):
         # second independent route: exact state recursion over the number
-        # of coupons collected
-        def dp_cdf(K, P, horizon):
-            probs = np.zeros(K)
-            probs[0] = 1.0
-            out = []
-            for _ in range(horizon + 1):
-                out.append(probs[K - 1])
-                nxt = np.zeros_like(probs)
-                for c in range(K - 1):
-                    nxt[c] += probs[c] * (1 - (K - 1 - c) * P)
-                    nxt[c + 1] += probs[c] * (K - 1 - c) * P
-                nxt[K - 1] += probs[K - 1]
-                probs = nxt
-            return out
-
-        for K in (2, 5, 10, 18):
+        # of coupons collected, also past the alternating sum's K <= 30
+        for K, horizon, step in [(2, 400, 7), (5, 400, 7), (10, 400, 7), (18, 400, 7),
+                                 (60, 3000, 75), (150, 8000, 200)]:
             model = CouponModel.from_optimal(K)
-            table = dp_cdf(K, model.P, 400)
-            for t in range(0, 401, 7):
-                assert coupon_cdf(model, t) == pytest.approx(table[t], abs=1e-11)
+            table = dp_cdf(K, model.P, horizon)
+            for t in range(0, horizon + 1, step):
+                assert coupon_cdf(model, t) == pytest.approx(table[t], abs=1e-11), (K, t)
 
-    def test_node_count_guard(self):
-        with pytest.raises(ValueError):
-            CouponModel(50, 0.001)
+    def test_matches_inclusion_exclusion(self):
+        for K in range(2, 31):
+            model = CouponModel.from_optimal(K)
+            for ell in range(3 * K, 60 * K, 13):
+                assert coupon_cdf(model, ell) == pytest.approx(
+                    inclusion_exclusion_cdf(K, model.P, ell), abs=1e-9), (K, ell)
+
+    def test_too_few_slots(self):
+        # K-1 neighbors need at least K-1 slots
+        for K in (3, 30, 150):
+            model = CouponModel.from_optimal(K)
+            for ell in (1, K // 2, K - 2):
+                assert coupon_cdf(model, ell) < 1e-14
+
+    @pytest.mark.parametrize("K", [60, 150])
+    def test_large_K_matches_stagewise_monte_carlo(self, K):
+        rng = np.random.default_rng(700 + K)
+        model = CouponModel.from_optimal(K)
+        times = mc_collection_times(K, model.P, trials=20_000, rng=rng)
+        for q in (0.3, 0.7, 0.95):
+            ell = int(np.quantile(times, q))
+            ana = coupon_cdf(model, ell)
+            emp = float((times <= ell).mean())
+            se = math.sqrt(ana * (1 - ana) / times.size) + 1e-12
+            assert abs(emp - ana) <= 3 * se, (K, ell, emp, ana)
 
     def test_negative_slots_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +292,24 @@ class TestFrameLength:
             ell = frame_length(K, 0.999)
             assert group_cdf(model, ell) >= 0.999
             assert group_cdf(model, ell - 1) < 0.999
+
+    @pytest.mark.parametrize("K,want", [(60, 3174), (150, 8738)])
+    def test_beyond_forty_nodes(self, K, want):
+        # exact values from the decimal oracle in bench/oracles.py
+        assert frame_length(K) == want
+
+    def test_chain_memory_budget(self):
+        # K=1041 is the largest chain whose 31 matrix powers fit in 256 MB;
+        # building the model allocates no matrix, so this stays cheap
+        CouponModel(1041, 1 / 1040)
+        with pytest.raises(ValueError, match="too large"):
+            CouponModel(1042, 1 / 1041)
+        with pytest.raises(ValueError, match="too large"):
+            frame_length(5000)
+
+    def test_unreachable_target(self):
+        with pytest.raises(RuntimeError):
+            frame_length(2, 0.5, CouponModel(2, 1e-12))
 
     def test_target_validation(self):
         with pytest.raises(ValueError):

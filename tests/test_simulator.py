@@ -121,6 +121,12 @@ class TestSimulateSequence:
         with pytest.raises(ValueError):
             simulate(SimConfig(SequenceScheme(sset), runs=1, max_slots=10))
 
+    @pytest.mark.parametrize("max_slots", [0, -3])
+    def test_nonpositive_max_slots_rejected(self, max_slots):
+        params = AssignTRandomParams(1, 4, 0.25)
+        with pytest.raises(ValueError):
+            SimConfig(AssignTRandomScheme(params), runs=1, max_slots=max_slots)
+
     def test_fixed_offsets_must_match_shape(self):
         sset = build_schedule_set(4, 2, W=2)
         cfg = SimConfig(SequenceScheme(sset), runs=1,

@@ -395,6 +395,11 @@ class TestVerifySet:
         with pytest.raises(ValueError):
             verify_set(three_node_set, mode="telepathy")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_randomized_needs_a_sample(self, three_node_set, samples):
+        with pytest.raises(ValueError):
+            verify_set(three_node_set, mode="randomized", samples=samples)
+
 
 class TestBlockingRun:
     def test_nothing_collides(self):
