@@ -230,6 +230,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     W = args.W if args.W is not None else args.M
+    if W < 1:
+        raise ValueError(f"need W >= 1 channels, got W={W}")
     k = args.K // W
     report = lower_bound(W, k, args.M, args.K, improved_remark=args.improved_remark)
     payload: dict[str, Any] = {

@@ -7,13 +7,14 @@ clean transmit slots and the receive slots of every node into uint64
 words (bit t of word w is slot 64 w + t), ANDs transmitter rows against
 receiver rows, and reads the first delivery off the lowest set bit.
 `run_batch` feeds it chunk after chunk until every pair of every run has
-a delivery.  The simulator and the randomized verifier both go through
-here.
+a delivery, and `run_batches` walks a range of runs in batches that fit
+the byte budget.  The simulator and the randomized verifier both go
+through here.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,25 +25,26 @@ from numpy.lib.stride_tricks import sliding_window_view
 # itself.
 BATCH_BYTES = 2 ** 20
 
-# Slots per kernel call when the caller has no reason to pick another.
+# Slots per kernel call.  Random schemes draw rng.random((K, CHUNK_SLOTS))
+# per run per chunk, so this value fixes their RNG streams.
 CHUNK_SLOTS = 512
 
 Actions = Callable[[np.ndarray, int, int], np.ndarray]
 
 
-def run_bytes(K: int, chunk: int) -> int:
+def run_bytes(K: int) -> int:
     """Working set of one run in `run_batch`, in bytes.
 
     The slot actions and per-channel masks take a few bytes per node and
     slot; per ordered pair there are the packed words, their non-zero
     flags and about a dozen int64 temporaries and results.
     """
-    return K * chunk * 8 + K * K * (chunk // 8 + chunk // 64 + 96)
+    return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
 
 
-def batch_runs(K: int, chunk: int) -> int:
+def batch_runs(K: int) -> int:
     """Runs per batch: as many as fit BATCH_BYTES, and at least one."""
-    return max(1, BATCH_BYTES // run_bytes(K, chunk))
+    return max(1, BATCH_BYTES // run_bytes(K))
 
 
 def _pack(mask: np.ndarray) -> np.ndarray:
@@ -82,19 +84,19 @@ def first_delivery(actions: np.ndarray, W: int) -> np.ndarray:
 
 
 def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
-              max_slots: int, chunk: int) -> np.ndarray:
+              max_slots: int) -> np.ndarray:
     """First delivery slots of the runs `ids`, over slots [0, max_slots).
 
     actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
-    runs for slots [t0, t0 + T).  Chunks of `chunk` slots are evaluated in
-    order, and a run drops out once every ordered pair has a delivery.
+    runs for slots [t0, t0 + T).  Chunks of CHUNK_SLOTS slots are evaluated
+    in order, and a run drops out once every ordered pair has a delivery.
     """
     first = np.full((ids.size, K, K), -1, dtype=np.int64)
     off_diag = ~np.eye(K, dtype=bool)
     active = np.arange(ids.size)
     t0 = 0
     while t0 < max_slots and active.size:
-        T = min(chunk, max_slots - t0)
+        T = min(CHUNK_SLOTS, max_slots - t0)
         got = first_delivery(actions(ids[active], t0, T), W)
         part = first[active]
         new = (part < 0) & (got >= 0)
@@ -105,15 +107,26 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
     return first
 
 
-def cyclic_reads(codes: np.ndarray, taus: np.ndarray, chunk: int) -> Actions:
+def run_batches(actions: Actions, runs: int, K: int, W: int,
+                max_slots: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """run_batch over runs [0, runs) in order, a batch of batch_runs(K) runs
+    at a time; yields each batch's run ids and first delivery slots."""
+    batch = batch_runs(K)
+    for lo in range(0, runs, batch):
+        ids = np.arange(lo, min(lo + batch, runs))
+        yield ids, run_batch(actions, ids, K, W, max_slots)
+
+
+def cyclic_reads(codes: np.ndarray, taus: np.ndarray) -> Actions:
     """Action source for periodic schedules read at per-run offsets.
 
     codes is the (K, L) schedule table and taus the (runs, K) offsets;
     run r's node x acts in slot t as codes[x, (t + taus[r, x]) % L].
-    Chunks may be at most `chunk` slots long.
+    Chunks may be at most CHUNK_SLOTS slots long.
     """
     K, L = codes.shape
-    windows = sliding_window_view(codes[:, np.arange(L + chunk - 1) % L], chunk, axis=1)
+    windows = sliding_window_view(codes[:, np.arange(L + CHUNK_SLOTS - 1) % L], CHUNK_SLOTS,
+                                  axis=1)
     rows = np.arange(K)
 
     def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:

@@ -20,10 +20,6 @@ from .pool import map_in_workers
 from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_length
 from .seqcore import GroupDivision, OffsetVector
 
-# Random schemes draw rng.random((K, _CHUNK_SLOTS)) per run per chunk, so
-# this value fixes their RNG streams.
-_CHUNK_SLOTS = 512
-
 
 class Scheme(Protocol):
     """What the simulator needs of a transmission scheme."""
@@ -61,7 +57,7 @@ class SequenceScheme:
     def action_source(self, rngs, offset_mode):
         K, L = self.K, self.sset.L
         taus = np.array([_draw_offsets(offset_mode, rng, K, L) for rng in rngs])
-        return kernel.cyclic_reads(self.sset.codes_matrix(), taus, _CHUNK_SLOTS)
+        return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
 
 
 class _DrawnScheme:
@@ -83,10 +79,9 @@ class _DrawnScheme:
 @dataclass(frozen=True)
 class AssignTRandomScheme(_DrawnScheme):
     params: AssignTRandomParams
-    division: GroupDivision | None = None  # defaults to the even division
 
     def action_source(self, rngs, offset_mode):
-        division = self.division or GroupDivision.even(self.K, self.W)
+        division = GroupDivision.even(self.K, self.W)
         return _drawn_actions(rngs, self.K, lambda u: _assign_t_codes(self, u, division))
 
 
@@ -220,13 +215,11 @@ def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
     times = np.empty(n, dtype=np.int64)
     censored = np.empty(n, dtype=bool)
     pair_tables = [] if config.record_pairs else None
-    batch = kernel.batch_runs(K, _CHUNK_SLOTS)
-    for lo in range(0, n, batch):
-        ids = np.arange(lo, min(lo + batch, n))
-        first = kernel.run_batch(actions, ids, K, config.W, max_slots, _CHUNK_SLOTS)
+    for ids, first in kernel.run_batches(actions, n, K, config.W, max_slots):
         served = first[:, off_diag]
         pending = (served < 0).any(axis=1)
-        times[ids] = np.where(pending, max_slots, served.max(axis=1) + 1)
+        # a one-node set has no pair to serve and completes at time 0
+        times[ids] = np.where(pending, max_slots, served.max(axis=1, initial=-1) + 1)
         censored[ids] = pending
         if pair_tables is not None:
             pair_tables.extend(first)

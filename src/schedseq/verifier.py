@@ -56,9 +56,11 @@ class VerificationReport:
     """Outcome of a guarantee check.
 
     pairs_checked counts ordered pairs processed for the exhaustive and
-    conservative methods, and (sample, pair) evaluations for the
-    randomized search.  A witness, when present, reproduces the failure:
-    success_slots() returns no slot for it.
+    conservative methods.  For the randomized search it counts (sample,
+    pair) evaluations: K(K-1) for every sample up to and including the
+    first failing one, or for every sample when none fails.  A witness,
+    when present, reproduces the failure: success_slots() returns no slot
+    for it.
     """
 
     verdict: Verdict
@@ -247,22 +249,22 @@ def _ordered_pairs(K: int):
 
 
 def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int, int]],
-                      mode: str, budget: int):
+                      method: Method, budget: int):
     """Check (index, i, j) pairs in order up to the first decisive one.
 
-    A failed pair decides either mode; an UNKNOWN pair decides conservative
-    mode, which never refutes.  Returns the decisive pair's (index, report)
-    or None, and whether an UNKNOWN pair came before it.
+    A failed pair decides either method; an UNKNOWN pair decides the
+    conservative method, which never refutes.  Returns the decisive pair's
+    (index, report) or None, and whether an UNKNOWN pair came before it.
     """
     masks = _SetMasks(sset)
     unknown = False
     for index, i, j in pairs:
-        if mode == "exhaustive":
+        if method is Method.EXHAUSTIVE:
             report = _exhaustive(masks, i, j, budget)
         else:
             report = _conservative(masks, i, j)
         if report.verdict is Verdict.FAILED_WITH_WITNESS or (
-                report.verdict is Verdict.UNKNOWN and mode == "conservative"):
+                report.verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
             return (index, report), unknown
         unknown |= report.verdict is Verdict.UNKNOWN
     return None, unknown
@@ -281,17 +283,18 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
     or offset draws, over worker processes; the report does not depend on
     threads.
     """
-    if mode == "randomized":
+    try:
+        method = Method(mode)
+    except ValueError:
+        raise ValueError(f"unknown mode {mode!r}") from None
+    if method is Method.RANDOMIZED:
         if samples < 1:
             raise ValueError("randomized verification needs samples >= 1")
         return _verify_randomized(sset, samples, seed, threads)
-    if mode not in ("exhaustive", "conservative"):
-        raise ValueError(f"unknown mode {mode!r}")
-    method = Method.EXHAUSTIVE if mode == "exhaustive" else Method.CONSERVATIVE
     pairs = [(index, i, j) for index, (i, j) in enumerate(_ordered_pairs(sset.K))]
     n = max(1, min(threads, len(pairs)))
     parts = map_in_workers(_check_pair_batch,
-                           [(sset, pairs[c::n], mode, budget) for c in range(n)], threads)
+                           [(sset, pairs[c::n], method, budget) for c in range(n)], threads)
     # Each worker stops at its own first decisive pair, so the earliest of
     # those is the first in pair order whatever the thread count.
     decided = [hit for hit, _ in parts if hit is not None]
@@ -300,8 +303,13 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
         return VerificationReport(report.verdict, method, index + 1, report.witness)
     if any(unknown for _, unknown in parts):
         return VerificationReport(Verdict.UNKNOWN, method, len(pairs))
-    verdict = Verdict.PROVEN if mode == "exhaustive" else Verdict.PROVEN_CONSERVATIVE
+    verdict = Verdict.PROVEN if method is Method.EXHAUSTIVE else Verdict.PROVEN_CONSERVATIVE
     return VerificationReport(verdict, method, len(pairs))
+
+
+# Offset vectors are drawn this many samples at a time, which fixes the
+# offset stream of a seed.
+_DRAW_SAMPLES = 512
 
 
 def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
@@ -309,15 +317,12 @@ def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
     """Sample offset vectors uniformly, hunting for a counterexample.
 
     Each sampled offset vector is one run of the collision kernel over a
-    period.  Offsets are drawn 512 samples at a time, which fixes the
-    offset stream; within a draw, pairs are judged channel group by
-    channel group, so the witness is the first failing (draw, group,
-    sample, member, receiver).  threads > 1 gives each worker a
-    contiguous range of draws.
+    period.  The witness is the first unserved (transmitter, receiver)
+    pair, in row-major pair order, of the first failing sample.  threads >
+    1 gives each worker a contiguous range of offset draws.
     """
     K = sset.K
-    draw = min(512, samples)
-    n_draws = -(-samples // draw)
+    n_draws = -(-samples // _DRAW_SAMPLES)
     n = max(1, min(threads, n_draws))
     edges = [n_draws * c // n for c in range(n + 1)]
     found = [hit for hit in map_in_workers(
@@ -326,54 +331,36 @@ def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
     if not found:
         return VerificationReport(Verdict.UNKNOWN, Method.RANDOMIZED,
                                   samples * K * (K - 1))
-    d, m, witness = min(found, key=lambda hit: hit[0])
-    # Every pair of the draws before d, then groups 1..m of draw d.
-    B = min(draw, samples - d * draw)
-    served = sum(len(sset.division.members(g)) for g in range(1, m + 1))
-    pairs_checked = (d * draw * K + B * served) * (K - 1)
+    sample, witness = min(found, key=lambda hit: hit[0])
     return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.RANDOMIZED,
-                              pairs_checked, witness)
+                              (sample + 1) * K * (K - 1), witness)
 
 
 def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
-                      first: int, stop: int) -> tuple[int, int, Witness] | None:
+                      first: int, stop: int) -> tuple[int, Witness] | None:
     """Offset draws [first, stop) of a randomized verification, the offset
-    stream replayed from the seed.  Returns the first failure as (draw,
-    group, witness), or None."""
+    stream replayed from the seed.  Returns the first failure as (sample,
+    witness), or None."""
     rng = np.random.default_rng(seed)
     codes = sset.codes_matrix()
-    K, L, W = sset.K, sset.L, sset.W
+    K, L = sset.K, sset.L
     division = sset.division
-    members = {m: np.array(division.members(m)) - 1 for m in range(1, W + 1)}
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
-    batch = kernel.batch_runs(K, kernel.CHUNK_SLOTS)
-    draw = min(512, samples)
     for d in range(stop):
-        B = min(draw, samples - d * draw)
-        taus = rng.integers(0, L, size=(B, K))
+        lo = d * _DRAW_SAMPLES
+        taus = rng.integers(0, L, size=(min(_DRAW_SAMPLES, samples - lo), K))
         if d < first:
             continue
-        actions = kernel.cyclic_reads(codes, taus, kernel.CHUNK_SLOTS)
-        # first_bad[b, m - 1]: first unserved (member, receiver) of group m
-        # in sample b, as member rank * K + receiver index; -1 for none.
-        first_bad = np.empty((B, W), dtype=np.int64)
-        for lo in range(0, B, batch):
-            ids = np.arange(lo, min(lo + batch, B))
-            got = kernel.run_batch(actions, ids, K, W, L, kernel.CHUNK_SLOTS)
-            bad = (got < 0) & off_diag
-            for m in range(1, W + 1):
-                flat = bad[:, members[m], :].reshape(ids.size, -1)
-                first_bad[ids, m - 1] = np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
-        for m in range(1, W + 1):
-            failed = first_bad[:, m - 1] >= 0
+        actions = kernel.cyclic_reads(codes, taus)
+        for ids, got in kernel.run_batches(actions, len(taus), K, sset.W, L):
+            bad = ((got < 0) & off_diag).reshape(ids.size, K * K)
+            failed = bad.any(axis=1)
             if failed.any():
                 b = int(failed.argmax())
-                gi, j0 = divmod(int(first_bad[b, m - 1]), K)
-                i = int(members[m][gi]) + 1
-                j = j0 + 1
-                relevant = set(division.members(m)) | {j}
-                offsets = {x: int(taus[b, x - 1]) for x in sorted(relevant)}
-                return d, m, Witness(i, j, offsets)
+                i, j = (x + 1 for x in divmod(int(bad[b].argmax()), K))
+                relevant = set(division.members(division.group_of(i))) | {j}
+                offsets = {x: int(taus[ids[b], x - 1]) for x in sorted(relevant)}
+                return lo + int(ids[b]), Witness(i, j, offsets)
     return None
 
 

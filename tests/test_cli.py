@@ -336,6 +336,12 @@ class TestBound:
         _, out, _ = run_cli(capsys, "bound", "--K", "60", "--M", "3")
         assert last_json(out)["ratio"] == 6.18
 
+    @pytest.mark.parametrize("argv", [["--K", "5", "--M", "3", "--W", "0"],
+                                      ["--K", "5", "--M", "0"]])
+    def test_no_channels_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 1 and err.startswith("error:") and out == ""
+
 
 class TestFramelen:
     def test_reference_value(self, capsys):

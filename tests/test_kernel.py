@@ -69,7 +69,7 @@ class TestChunkLoop:
         table = rng.integers(1, W + 1, size=(R, K, slots)) * rng.choice([-1, 1], size=(R, K, slots))
         table[:3, 0, :1100] = 1  # in three runs, node 1 listens only from slot 1100
         source = lambda ids, t0, T: table[ids, :, t0:t0 + T]  # noqa: E731
-        first = kernel.run_batch(source, np.arange(R), K, W, slots, 512)
+        first = kernel.run_batch(source, np.arange(R), K, W, slots)
         for r in range(R):
             want = np.array(brute_force_first_success(table[r]))
             assert np.array_equal(first[r], want), r
@@ -77,12 +77,12 @@ class TestChunkLoop:
     @pytest.mark.parametrize("L", [7, 600])
     def test_cyclic_reads(self, L):
         rng = np.random.default_rng(L)
-        K, chunk = 3, 512
+        K = 3
         codes = rng.integers(1, 3, size=(K, L)) * rng.choice([-1, 1], size=(K, L))
         taus = rng.integers(0, L, size=(4, K))
-        actions = kernel.cyclic_reads(codes, taus, chunk)
+        actions = kernel.cyclic_reads(codes, taus)
         ids = np.array([3, 1])
-        for t0, T in ((0, chunk), (1024, 100)):
+        for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100)):
             got = actions(ids, t0, T)
             for n, r in enumerate(ids):
                 for x in range(K):
@@ -92,7 +92,7 @@ class TestChunkLoop:
 
 def one_at_a_time(monkeypatch, config: SimConfig):
     monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
-    assert kernel.batch_runs(config.K, 512) == 1
+    assert kernel.batch_runs(config.K) == 1
     result = simulate(config)
     monkeypatch.undo()
     return result
@@ -107,7 +107,7 @@ class TestBatchedSimulation:
     def test_batches_equal_single_runs(self, monkeypatch, scheme):
         # 1300 slots: two full chunks and a short one
         config = SimConfig(scheme, runs=70, seed=4, max_slots=1300, record_pairs=True)
-        assert kernel.batch_runs(config.K, 512) < config.runs
+        assert kernel.batch_runs(config.K) < config.runs
         batched = simulate(config)
         single = one_at_a_time(monkeypatch, config)
         assert batched == single
@@ -126,7 +126,7 @@ class TestBatchedSimulation:
 
     def test_threads_split_a_batch(self):
         sset = build_schedule_set(4, 2, W=2)
-        batch = kernel.batch_runs(sset.K, 512)
+        batch = kernel.batch_runs(sset.K)
         runs = 3 * batch + 5
         assert (runs // 2) % batch != 0  # the two workers' ranges split a batch
         config = SimConfig(SequenceScheme(sset), runs=runs, seed=6, record_pairs=True)
@@ -151,46 +151,51 @@ def partly_deaf(sset: ScheduleSequenceSet, node: int, channel: int, keep: int,
 
 
 def oracle_randomized(sset: ScheduleSequenceSet, samples: int, seed: int):
-    """Randomized verify replayed slot by slot on the same offset draws:
-    (verdict, pairs_checked, witness as (i, j, offsets) or None)."""
+    """Randomized verify replayed slot by slot on the same offset draws, one
+    sample at a time: (verdict, pairs_checked, witness as (i, j, offsets)
+    or None)."""
     rng = np.random.default_rng(seed)
-    K, L, W = sset.K, sset.L, sset.W
+    K, L = sset.K, sset.L
     division = sset.division
-    pairs_checked, done = 0, 0
+    done = 0
     while done < samples:
-        B = min(512, samples - done)
-        taus = rng.integers(0, L, size=(B, K))
-        for m in range(1, W + 1):
-            group = division.members(m)
-            pairs_checked += B * len(group) * (K - 1)
-            for b in range(B):
-                offsets = {x + 1: int(taus[b, x]) for x in range(K)}
-                for i in group:
-                    for j in range(1, K + 1):
-                        if j != i and not pair_ok_for_offsets(sset, i, j, offsets):
-                            kept = {x: offsets[x] for x in sorted(set(group) | {j})}
-                            return Verdict.FAILED_WITH_WITNESS, pairs_checked, (i, j, kept)
-        done += B
-    return Verdict.UNKNOWN, pairs_checked, None
+        for row in rng.integers(0, L, size=(min(512, samples - done), K)):
+            done += 1
+            offsets = {x + 1: int(row[x]) for x in range(K)}
+            for i in range(1, K + 1):
+                for j in range(1, K + 1):
+                    if j != i and not pair_ok_for_offsets(sset, i, j, offsets):
+                        group = division.members(division.group_of(i))
+                        kept = {x: offsets[x] for x in sorted(set(group) | {j})}
+                        return Verdict.FAILED_WITH_WITNESS, done * K * (K - 1), (i, j, kept)
+    return Verdict.UNKNOWN, samples * K * (K - 1), None
+
+
+# (K, M, W, node, keep, samples): each case refutes on some of seeds 0-4;
+# the first and last also answer UNKNOWN on others, and the middle one
+# first fails at samples 129, 366, 334, 914 and 269, so seed 3 fails in
+# the second offset draw of 512 samples.
+DEAFENED = [
+    (4, 2, 2, 2, 8, 5),
+    (4, 2, 2, 3, 20, 1100),
+    (6, 3, 3, 5, 8, 4),
+]
+
+
+def deafened(K: int, M: int, W: int, node: int, keep: int) -> ScheduleSequenceSet:
+    return partly_deaf(build_schedule_set(K, M, W=W), node, 2, keep, np.random.default_rng(K))
 
 
 class TestRandomizedVerify:
-    # Each case refutes on some seeds; the first and last also answer
-    # UNKNOWN on others, and the K=5 one fails only in group 2, after a
-    # full draw of 512 samples for group 1.
-    @pytest.mark.parametrize("K, M, W, node, keep, samples", [
-        (4, 2, 2, 2, 8, 5),
-        (5, 2, 2, 4, 8, 515),
-        (6, 3, 3, 5, 8, 4),
-    ])
+    @pytest.mark.parametrize("K, M, W, node, keep, samples", DEAFENED)
     def test_deafened_sets_match_slot_replay(self, K, M, W, node, keep, samples):
-        rng = np.random.default_rng(K)
-        sset = partly_deaf(build_schedule_set(K, M, W=W), node, 2, keep, rng)
-        verdicts = set()
+        sset = deafened(K, M, W, node, keep)
+        failed_at = []  # first failing sample of each refuting seed
         for seed in range(5):
             report = verify_set(sset, mode="randomized", samples=samples, seed=seed)
             verdict, pairs_checked, witness = oracle_randomized(sset, samples, seed)
-            verdicts.add(verdict)
+            if witness is not None:
+                failed_at.append(pairs_checked // (K * (K - 1)) - 1)
             assert report.verdict is verdict
             assert report.pairs_checked == pairs_checked
             if witness is None:
@@ -198,7 +203,25 @@ class TestRandomizedVerify:
             else:
                 w = report.witness
                 assert (w.transmitter, w.receiver, w.offsets) == witness
-        assert Verdict.FAILED_WITH_WITNESS in verdicts
+        assert failed_at
+        if samples > 512:
+            assert max(failed_at) >= 512  # a failure past the first draw
+
+    def test_deafened_sets_ignore_batch_size_and_threads(self, monkeypatch):
+        # The search stops at the first batch of runs that holds a failure;
+        # one-run batches and two workers must find the same first sample.
+        cases = [(deafened(*case[:5]), case[5]) for case in DEAFENED]
+
+        def reports(threads=1):
+            return [verify_set(sset, mode="randomized", samples=samples, seed=seed,
+                               threads=threads)
+                    for sset, samples in cases for seed in range(5)]
+        serial = reports()
+        assert kernel.batch_runs(4) < 512  # default batches cut a draw short
+        assert reports(threads=2) == serial
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
+        assert kernel.batch_runs(6) == 1
+        assert reports() == serial
 
     def test_threads_give_the_serial_report(self):
         # Two nodes that each send in one slot of 1500 fail when their
@@ -219,8 +242,9 @@ class TestRandomizedVerify:
             else:
                 w = serial.witness
                 assert not pair_ok_for_offsets(sset, w.transmitter, w.receiver, w.offsets)
-                # every pair of the draws up to and including the failing one
-                outcomes.add(f"draw {serial.pairs_checked // (512 * 2) - 1}")
+                # every pair of the samples up to and including the failing one
+                sample = serial.pairs_checked // 2 - 1
+                outcomes.add(f"draw {sample // 512}")
         assert outcomes == {"unknown", "draw 0", "draw 1"}
 
     def test_k150_stays_within_the_byte_budget(self):
@@ -229,7 +253,7 @@ class TestRandomizedVerify:
         # plus 1 MB of small arrays.
         sset = build_schedule_set(150, 5)
         K, L = sset.K, sset.L
-        budget = max(kernel.BATCH_BYTES, kernel.run_bytes(K, kernel.CHUNK_SLOTS))
+        budget = max(kernel.BATCH_BYTES, kernel.run_bytes(K))
         slack = 2 * K * (L + kernel.CHUNK_SLOTS) * 2 + 2 ** 20
         tracemalloc.start()
         try:

@@ -69,6 +69,14 @@ class TestSimulateSequence:
             assert not res.censored.any()
             assert res.completion_times.max() <= sset.L
 
+    def test_one_node_completes_at_once(self):
+        # no pair to serve, as verify_set proves the set with 0 pairs
+        sset = ScheduleSequenceSet((seq_from_str("T1 R1 R1", 1),))
+        res = simulate(SimConfig(SequenceScheme(sset), runs=2, record_pairs=True))
+        assert res.completion_times.tolist() == [0, 0]
+        assert not res.censored.any()
+        assert res.per_pair_first_success.shape == (2, 1, 1)
+
     def test_matches_slot_by_slot_reference(self, three_node_set):
         # chunked vectorized run agrees with a plain slot loop
         rng = np.random.default_rng(31)
@@ -177,7 +185,8 @@ class TestSimulateRandom:
     def test_general_first_success_matches_slot_replay(self):
         # W=2: a node transmits on either channel, so one pair can succeed on
         # both channels within a chunk; the earliest slot must win
-        from schedseq.simulator import _CHUNK_SLOTS, _general_codes
+        from schedseq.kernel import CHUNK_SLOTS
+        from schedseq.simulator import _general_codes
         params = GeneralRandomParams(2, 6, 0.09)
         scheme = GeneralRandomScheme(params)
         runs, seed, max_slots = 12, 5, 20_000
@@ -189,7 +198,7 @@ class TestSimulateRandom:
             rng = np.random.default_rng(child)
             chunks, t0 = [], 0
             while t0 < max_slots:
-                T = min(_CHUNK_SLOTS, max_slots - t0)
+                T = min(CHUNK_SLOTS, max_slots - t0)
                 chunks.append(_general_codes(scheme, rng.random((params.K, T))))
                 t0 += T
                 first = np.array(brute_force_first_success(np.concatenate(chunks, axis=1)))
