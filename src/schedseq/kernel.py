@@ -3,13 +3,14 @@
 In a slot, a node transmitting on channel m reaches every node listening
 to m exactly when it is the only transmitter on m.  `first_delivery`
 applies that rule to a batch of runs at once: per channel it packs the
-clean transmit slots and the receive slots of every node into uint64
-words (bit t of word w is slot 64 w + t), ANDs transmitter rows against
-receiver rows, and reads the first delivery off the lowest set bit.
-`run_batch` feeds it chunk after chunk until every pair of every run has
-a delivery, and `run_batches` walks a range of runs in batches that fit
-the byte budget.  The simulator and the randomized verifier both go
-through here.
+clean transmit slots of the given transmitter rows and the receive slots
+of every node into uint64 words (bit t of word w is slot 64 w + t), ANDs
+each transmitter row against its run's receiver rows, and reads the
+first delivery off the lowest set bit.  `run_batch` feeds it chunk after
+chunk; a transmitter row leaves once all of its receivers are served,
+and a run once all of its rows have.  `run_batches` walks a range of
+runs in batches that fit the byte budget.  The simulator and the
+randomized verifier both go through here.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ Actions = Callable[[np.ndarray, int, int], np.ndarray]
 def run_bytes(K: int) -> int:
     """Working set of one run in `run_batch`, in bytes.
 
-    The slot actions and per-channel masks take a few bytes per node and
-    slot; per ordered pair there are the packed words, their non-zero
-    flags and about a dozen int64 temporaries and results.
+    This is the first chunk, when every transmitter row is pending; later
+    chunks evaluate fewer rows and need less.  The slot actions and
+    per-channel masks take a few bytes per node and slot; per ordered pair
+    there are the packed words, their non-zero flags and about a dozen
+    int64 temporaries and results.
     """
     return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
 
@@ -52,35 +55,38 @@ def _pack(mask: np.ndarray) -> np.ndarray:
     return np.packbits(mask, axis=-1, bitorder="little").view("<u8")
 
 
-def first_delivery(actions: np.ndarray, W: int) -> np.ndarray:
-    """First delivery slot of every ordered pair in each run of a batch.
+def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
+                   tx: np.ndarray) -> np.ndarray:
+    """First delivery slot from each given transmitter row to every node.
 
     actions is an (R, K, T) integer table: m > 0 transmits on channel m,
-    -m listens to channel m, and 0 does neither.  Returns the (R, K, K)
-    table of the first slot in [0, T) at which the row node delivers to
-    the column node, or -1 where it never does.
+    -m listens to channel m, and 0 does neither.  Row p is transmitter
+    tx[p] of run pos[p].  Returns the (rows, K) table of the first slot
+    in [0, T) at which that transmitter delivers to each node, or -1
+    where it never does.  Whether a slot is clean (one transmitter on
+    its channel) is judged over every node of the run.
     """
     R, K, T = actions.shape
     pad = -T % 64
     if pad:
         actions = np.concatenate(
             [actions, np.zeros((R, K, pad), dtype=actions.dtype)], axis=2)
-    hits = np.zeros((R, K, K, (T + pad) // 64), dtype=np.uint64)
+    hits = np.zeros((pos.size, K, (T + pad) // 64), dtype=np.uint64)
+    count_dtype = np.min_scalar_type(K)  # holds a count of up to K transmitters
     for m in range(1, W + 1):
-        tx = actions == m
-        clean = np.count_nonzero(tx, axis=1) == 1
-        tx &= clean[:, None, :]
-        txw = _pack(tx)
-        r, i = np.nonzero(txw.any(axis=2))  # transmitter rows with a clean slot
-        if r.size:
+        on_m = actions == m
+        clean = np.add.reduce(on_m, axis=1, dtype=count_dtype) == 1
+        on_m &= clean[:, None, :]
+        txw = _pack(on_m)[pos, tx]
+        p = np.flatnonzero(txw.any(axis=1))  # rows with a clean slot on m
+        if p.size:
             rxw = _pack(actions == -m)
-            hits[r, i] |= txw[r, i][:, None, :] & rxw[r]
-    nonzero = hits != 0
-    word = nonzero.argmax(axis=3)
-    bits = np.take_along_axis(hits, word[..., None], axis=3)[..., 0]
+            hits[p] |= txw[p][:, None, :] & rxw[pos[p]]
+    word = (hits != 0).argmax(axis=2)
+    bits = np.take_along_axis(hits, word[..., None], axis=2)[..., 0]  # 0: no delivery
     low = bits & (~bits + np.uint64(1))  # lowest set bit alone
     slot = word * 64 + np.bitwise_count(low - np.uint64(1))
-    return np.where(nonzero.any(axis=3), slot, -1)
+    return np.where(bits != 0, slot, -1)
 
 
 def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
@@ -89,22 +95,32 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
 
     actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
     runs for slots [t0, t0 + T).  Chunks of CHUNK_SLOTS slots are evaluated
-    in order, and a run drops out once every ordered pair has a delivery.
+    in order.  A transmitter row r K + i stays pending while some receiver
+    j != i of run r has no delivery; each chunk evaluates only the pending
+    rows and asks `actions` only for the runs that still own one.
     """
-    first = np.full((ids.size, K, K), -1, dtype=np.int64)
-    off_diag = ~np.eye(K, dtype=bool)
-    active = np.arange(ids.size)
+    first = np.full((ids.size * K, K), -1, dtype=np.int64)
+    n = ids.size if K > 1 else 0  # one node has no pair to serve
+    rows = np.arange(n * K)  # pending rows, ascending
+    runs = np.arange(n)  # batch positions of the runs that own them
+    pos, tx = np.divmod(rows, K)  # each row's index into runs, and its node
     t0 = 0
-    while t0 < max_slots and active.size:
+    while t0 < max_slots and rows.size:
         T = min(CHUNK_SLOTS, max_slots - t0)
-        got = first_delivery(actions(ids[active], t0, T), W)
-        part = first[active]
-        new = (part < 0) & (got >= 0)
-        part[new] = t0 + got[new]
-        first[active] = part
-        active = active[(part[:, off_diag] < 0).any(axis=1)]
+        got = first_delivery(actions(ids[runs], t0, T), W, pos, tx)
+        part = first[rows]
+        part = np.where((part < 0) & (got >= 0), t0 + got, part)
+        first[rows] = part
+        # a node never hears itself, so its own column stays -1
+        keep = np.count_nonzero(part < 0, axis=1) > 1
+        if not keep.all():
+            rows, pos, tx = rows[keep], pos[keep], tx[keep]
+            owned = np.zeros(runs.size, dtype=bool)
+            owned[pos] = True
+            runs = runs[owned]
+            pos = (np.cumsum(owned) - 1)[pos]
         t0 += T
-    return first
+    return first.reshape(ids.size, K, K)
 
 
 def run_batches(actions: Actions, runs: int, K: int, W: int,
@@ -125,7 +141,9 @@ def cyclic_reads(codes: np.ndarray, taus: np.ndarray) -> Actions:
     Chunks may be at most CHUNK_SLOTS slots long.
     """
     K, L = codes.shape
-    windows = sliding_window_view(codes[:, np.arange(L + CHUNK_SLOTS - 1) % L], CHUNK_SLOTS,
+    wrap = CHUNK_SLOTS - 1  # slots a window can run past the period
+    tail = np.tile(codes[:, :wrap], (1, -(-wrap // L)))[:, :wrap]
+    windows = sliding_window_view(np.concatenate([codes, tail], axis=1), CHUNK_SLOTS,
                                   axis=1)
     rows = np.arange(K)
 

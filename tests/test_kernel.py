@@ -31,6 +31,13 @@ def random_actions(rng, R: int, K: int, W: int, T: int) -> np.ndarray:
     return actions
 
 
+def every_row(actions: np.ndarray, W: int) -> np.ndarray:
+    """first_delivery over every transmitter row of every run, as (R, K, K)."""
+    R, K, _ = actions.shape
+    pos, tx = np.divmod(np.arange(R * K), K)
+    return kernel.first_delivery(actions, W, pos, tx).reshape(R, K, K)
+
+
 class TestFirstDelivery:
     @pytest.mark.parametrize("T", [1, 63, 64, 65, 512])
     def test_matches_slot_replay(self, T):
@@ -38,9 +45,21 @@ class TestFirstDelivery:
         for _ in range(12):
             K, W = int(rng.integers(2, 13)), int(rng.integers(1, 5))
             actions = random_actions(rng, 3, K, W, T)
-            got = kernel.first_delivery(actions, W)
+            got = every_row(actions, W)
             for r in range(3):
                 assert np.array_equal(got[r], brute_force_first_success(actions[r])), (K, W)
+
+    def test_some_rows_equal_those_rows_of_all(self):
+        # rows in any order, repeated, and of a subset of the runs
+        rng = np.random.default_rng(5)
+        K, W, T = 6, 3, 130
+        actions = random_actions(rng, 4, K, W, T)
+        full = every_row(actions, W)
+        pos = np.array([3, 0, 3, 2, 2])
+        tx = np.array([5, 0, 1, 4, 4])
+        got = kernel.first_delivery(actions, W, pos, tx)
+        assert np.array_equal(got, full[pos, tx])
+        assert kernel.first_delivery(actions, W, pos[:0], tx[:0]).shape == (0, K)
 
     def test_collision_and_silence_deliver_nothing(self):
         K, T = 5, 70
@@ -48,16 +67,48 @@ class TestFirstDelivery:
         nobody = -np.ones((1, K, T), dtype=np.int16)
         idle = np.zeros((1, K, T), dtype=np.int16)
         for actions in (everyone, nobody, idle):
-            assert (kernel.first_delivery(actions, 2) == -1).all()
+            assert (every_row(actions, 2) == -1).all()
+
+    def test_more_transmitters_than_a_byte_counts(self):
+        # 257 transmitters in slot 5 collide (a uint8 count would wrap to
+        # 1); node 0 alone in slot 9 reaches everyone
+        K = 257
+        actions = -np.ones((1, K, 64), dtype=np.int16)
+        actions[0, :, 5] = 1
+        actions[0, 0, 9] = 1
+        first = every_row(actions, 1)[0]
+        assert np.array_equal(first, brute_force_first_success(actions[0]))
+        assert (first[0, 1:] == 9).all() and (first[1:] == -1).all()
 
     def test_single_transmitter_reaches_its_channel_only(self):
         # node 0 sends on channel 2 in slot 66; node 1 listens to 2, node 2 to 1
         actions = -np.ones((1, 3, 70), dtype=np.int16)
         actions[0, 0, 66] = 2
         actions[0, 1, :] = -2
-        first = kernel.first_delivery(actions, 2)[0]
+        first = every_row(actions, 2)[0]
         assert first[0, 1] == 66
         assert first[0, 2] == -1 and (first[1:] == -1).all()
+
+
+def staggered_table(rng, R: int, K: int, W: int, slots: int) -> np.ndarray:
+    """Mixed-channel slot actions in which each node of each run only
+    listens before a start slot drawn over the whole range, so transmitter
+    rows finish in different chunks; in run 0 node 0 never transmits."""
+    table = random_actions(rng, R, K, W, slots)
+    start = rng.integers(0, slots - 60, size=(R, K))
+    for r in range(R):
+        for x in range(K):
+            table[r, x, :start[r, x]] = -int(rng.integers(1, W + 1))
+    table[0, 0] = -1
+    return table
+
+
+def pending_at(want: np.ndarray, t0: int) -> np.ndarray:
+    """(R, K) rows that still owe a delivery at slot t0: some receiver
+    other than the transmitter is first served at t0 or later, or never."""
+    K = want.shape[1]
+    owed = ((want < 0) | (want >= t0)) & ~np.eye(K, dtype=bool)
+    return owed.any(axis=2)
 
 
 class TestChunkLoop:
@@ -74,7 +125,49 @@ class TestChunkLoop:
             want = np.array(brute_force_first_success(table[r]))
             assert np.array_equal(first[r], want), r
 
-    @pytest.mark.parametrize("L", [7, 600])
+    @pytest.mark.parametrize("K, W", [(1, 1), (2, 1), (2, 2), (5, 2), (7, 3)])
+    def test_pending_rows_over_chunks(self, monkeypatch, K, W):
+        # four chunks (512, 512, 512, 76 slots); the logged action requests
+        # and evaluated rows must be exactly the pending runs and rows
+        rng = np.random.default_rng(10 * K + W)
+        R, slots = 5, 3 * kernel.CHUNK_SLOTS + 76
+        table = staggered_table(rng, R, K, W, slots)
+        ids = np.array([2, 5, 6, 8, 9])  # batch position r holds run ids[r]
+        runs = np.empty((ids.max() + 1, K, slots), dtype=table.dtype)
+        runs[ids] = table
+        want = np.array([brute_force_first_success(t) for t in table])
+        requests, evaluated = [], []
+
+        def source(asked, t0, T):
+            requests.append((t0, asked.tolist()))
+            return runs[asked, :, t0:t0 + T]
+
+        def logged(actions, W, pos, tx):
+            asked = np.searchsorted(ids, requests[-1][1])  # batch positions
+            evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
+            return first_delivery(actions, W, pos, tx)
+
+        first_delivery = kernel.first_delivery
+        monkeypatch.setattr(kernel, "first_delivery", logged)
+        first = kernel.run_batch(source, ids, K, W, slots)
+        assert np.array_equal(first, want)
+
+        starts = [t0 for t0, _ in requests]
+        assert starts == list(range(0, slots, kernel.CHUNK_SLOTS))[:len(starts)]
+        for (t0, asked), rows in zip(requests, evaluated):
+            pending = pending_at(want, t0)
+            assert asked == ids[pending.any(axis=1)].tolist(), t0
+            assert rows == set(zip(*np.nonzero(pending))), t0
+        assert all(b <= a for a, b in zip(evaluated, evaluated[1:]))
+        if K == 1:
+            assert requests == []  # no pair, so nothing to ask for
+        else:
+            # run 0 (node 0 never transmits) is censored, so every chunk runs
+            assert len(requests) == 4
+            assert (first[0, 0, 1:] == -1).all()
+            assert len({len(rows) for rows in evaluated}) > 2
+
+    @pytest.mark.parametrize("L", [1, 7, kernel.CHUNK_SLOTS - 1, kernel.CHUNK_SLOTS, 600])
     def test_cyclic_reads(self, L):
         rng = np.random.default_rng(L)
         K = 3
@@ -82,7 +175,7 @@ class TestChunkLoop:
         taus = rng.integers(0, L, size=(4, K))
         actions = kernel.cyclic_reads(codes, taus)
         ids = np.array([3, 1])
-        for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100)):
+        for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS)):
             got = actions(ids, t0, T)
             for n, r in enumerate(ids):
                 for x in range(K):
