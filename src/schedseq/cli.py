@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -59,14 +60,36 @@ class SequenceSetFormatError(ValueError):
     """Raised when a sequence-set document violates the file schema."""
 
 
+def _token_table(W: int) -> np.ndarray:
+    """(2W+1, width) byte table: row code+W holds the token of code and a
+    trailing space, NUL-padded to a common width (code 0 has no token)."""
+    width = len(str(W)) + 2
+    table = np.zeros((2 * W + 1, width), dtype=np.uint8)
+    for c in range(-W, W + 1):
+        if c:
+            token = (f"R{-c} " if c < 0 else f"T{c} ").encode("ascii")
+            table[c + W, :len(token)] = np.frombuffer(token, dtype=np.uint8)
+    return table
+
+
 def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
     """Schema-2 document: each sequence is one string of space-separated
     tokens, T<m> for transmit on channel m and R<r> for listen to channel r."""
     params = sset.params
     W = sset.W
-    # Token text of every code -W..W, indexed by code + W.
-    tokens = np.array([f"R{-c}" if c < 0 else f"T{c}" for c in range(-W, W + 1)],
-                      dtype=object)
+    table = _token_table(W)
+    # One index and one byte buffer serve every row: fresh row-sized arrays
+    # would cost a page fault per 4 KiB each time.
+    index = np.empty(sset.L, dtype=np.intp)
+    buf = np.empty((sset.L, table.shape[1]), dtype=np.uint8)
+    rows = []
+    for seq in sset.sequences:
+        np.add(seq.codes, W, out=index)
+        np.take(table, index, axis=0, out=buf)
+        text = buf.ravel()
+        if W >= 10:  # one-digit tokens fill the table, longer ones leave NULs
+            text = text[text != 0]
+        rows.append(text[:-1].tobytes().decode("ascii"))
     doc: dict[str, Any] = {
         "schema_version": SET_SCHEMA_VERSION,
         "K": sset.K,
@@ -75,7 +98,7 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
         "L": sset.L,
         "params": None,
         "division": list(sset.division.assignment),
-        "sequences": [" ".join(tokens[seq.codes + W].tolist()) for seq in sset.sequences],
+        "sequences": rows,
     }
     if params is not None:
         doc["params"] = {
@@ -174,11 +197,22 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
 
 
 def save_set(sset: ScheduleSequenceSet, path: str) -> None:
-    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python one.
-    text = json.dumps(set_to_doc(sset))
+    """Write the set as the bytes json.dumps(set_to_doc(sset)) + "\n" gives.
+
+    set_to_doc puts "sequences" last and its rows hold only [TR0-9 ], which
+    JSON writes unescaped, so the header goes through json.dumps and each
+    row is quoted as it is written; every step that can raise runs before
+    the file is opened.
+    """
+    doc = set_to_doc(sset)
+    head = json.dumps({**doc, "sequences": []})[:-2]  # ends in '"sequences": ['
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(head)
+        for i, row in enumerate(doc["sequences"]):
+            fh.write('"' if i == 0 else ', "')
+            fh.write(row)
+            fh.write('"')
+        fh.write("]}\n")
 
 
 def load_set(path: str) -> ScheduleSequenceSet:
@@ -300,7 +334,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parse_args
+    leaves it unchanged, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="schedseq",
         description="Construct, verify, bound and simulate broadcast schedule sequences.")

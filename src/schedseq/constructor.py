@@ -22,7 +22,6 @@ from .seqcore import (
     array_to_sequence,
     crt_inverse,
     crt_map,
-    cyclic_shift,
 )
 
 
@@ -208,14 +207,34 @@ def choose_W(K: int, M: int) -> tuple[int, ConstructionParams]:
     return best.W, best
 
 
-def _array_for_rank(params: ConstructionParams, m: int, n: int) -> np.ndarray:
-    u_n = build_crt_ui(params.ui_params, n)
-    u_shifted = cyclic_shift(u_n, params.deltas[m - 1])
-    rows = []
-    for r in range(1, params.W + 1):
-        rows.append(u_n.relabel(m, r).codes)
-        rows.append(u_shifted.relabel(m, r).codes)
-    return np.stack(rows)
+def _ui_ones(params: ConstructionParams, gens) -> np.ndarray:
+    """(len(gens), w) positions of the ones of each generator's CRT-UI
+    sequence: u -> CRT^-1(u*g mod p, u mod q) for u in Z_w."""
+    u = np.arange(params.w)
+    a = np.multiply.outer(np.asarray(gens, dtype=np.int64), u) % params.p
+    return crt_inverse((a, u % params.q), params.p, params.q)
+
+
+def _array_stack(params: ConstructionParams, groups, gens) -> np.ndarray:
+    """(n, 2W, L') int16 stack of the arrays of n nodes, node k in group
+    groups[k] using generator gens[k].
+
+    Rows 2(r-1) and 2r-1 are the generator's UI sequence with 1 -> T_m and
+    0 -> R_r, unshifted and shifted by the group's pre-assigned offset.
+    """
+    W, Lp = params.W, params.Lprime
+    groups = np.asarray(groups, dtype=np.int64)
+    ones = _ui_ones(params, gens)[:, None, :]
+    # cyclic_shift by delta moves a one at x to x - delta.
+    shifted = (ones - np.asarray(params.deltas)[groups - 1, None, None]) % Lp
+    stack = np.empty((groups.size, 2 * W, Lp), dtype=np.int16)
+    stack[...] = -(np.arange(2 * W, dtype=np.int16) // 2 + 1)[:, None]
+    node = np.arange(groups.size)[:, None, None]
+    even = 2 * np.arange(W)[:, None]
+    tx = groups.astype(np.int16)[:, None, None]
+    stack[node, even, ones] = tx
+    stack[node, even + 1, shifted] = tx
+    return stack
 
 
 def build_array(params: ConstructionParams, i: int) -> np.ndarray:
@@ -228,11 +247,7 @@ def build_array(params: ConstructionParams, i: int) -> np.ndarray:
         raise ValueError("single-channel construction has no array form")
     m = params.division.group_of(i)
     n = params.division.rank_in_group(i)
-    return _array_for_rank(params, m, n)
-
-
-def _sequence_from_array(arr: np.ndarray, m: int) -> ScheduleSequence:
-    return ScheduleSequence(array_to_sequence(arr), owner_group=m)
+    return _array_stack(params, [m], [n])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,9 +269,9 @@ class ScheduleSequenceSet:
         if set(groups) != set(range(1, W + 1)):
             raise ValueError("owner groups 1..W must all be non-empty")
         for s in self.sequences:
-            rx = -s.codes[s.codes < 0]
-            if rx.size and rx.max() > W:
-                raise ValueError(f"receive channel {int(rx.max())} exceeds W={W}")
+            lowest = int(s.codes.min())
+            if lowest < -W:
+                raise ValueError(f"receive channel {-lowest} exceeds W={W}")
         if self.params is not None and tuple(self.params.division.assignment) != tuple(groups):
             raise ValueError("params.division disagrees with sequence owner groups")
 
@@ -289,41 +304,36 @@ def build_schedule_set(K: int, M: int, W: int | None = None,
     """Construct a schedule sequence set for K nodes and M channels.
 
     W defaults to the period-minimizing channel count.  The multi-channel
-    path builds one array per (group, rank) slot of the full W*ell design
-    and keeps the K of them named by the even division; a seed shuffles
-    which ranks each group keeps.
+    path builds the whole set as one (K, 2W, L') stack of node arrays and
+    flattens it once; node i of group m uses generator n, its rank in the
+    group, and a seed shuffles which ranks each group keeps.
     """
     if W is None:
         _, params = choose_W(K, M)
     else:
         params = select_params(K, M, W)
-    division = params.division
-
+    groups = params.division.assignment
     if params.W == 1:
-        uis = crt_ui_set(params.ui_params)
-        order = list(range(params.K))
+        gens = list(range(1, params.K + 1))
         if seed is not None:
-            random.Random(seed).shuffle(order)
-        seqs = tuple(uis[order[i]].relabel(1, 1) for i in range(params.K))
-        return ScheduleSequenceSet(seqs, params=params)
-
-    rng = random.Random(seed) if seed is not None else None
-    rank_pool: dict[int, list[int]] = {}
-    for m in range(1, params.W + 1):
-        ranks = list(range(1, params.ell + 1))
-        if rng is not None:
-            rng.shuffle(ranks)
-        rank_pool[m] = ranks
-
-    # Node i keeps the rank_in_group-th surviving rank of its group, so the
-    # default (no seed) reproduces the plain generator-by-rank assignment.
-    seqs = []
-    for i in range(1, K + 1):
-        m = division.group_of(i)
-        picked_rank = rank_pool[m][division.rank_in_group(i) - 1]
-        arr = _array_for_rank(params, m, picked_rank)
-        seqs.append(_sequence_from_array(arr, m))
-    return ScheduleSequenceSet(tuple(seqs), params=params)
+            random.Random(seed).shuffle(gens)
+        codes = np.full((params.K, params.L), -1, dtype=np.int16)
+        codes[np.arange(params.K)[:, None], _ui_ones(params, gens)] = 1
+    else:
+        rng = random.Random(seed) if seed is not None else None
+        rank_pool = {}
+        for m in range(1, params.W + 1):
+            ranks = list(range(1, params.ell + 1))
+            if rng is not None:
+                rng.shuffle(ranks)
+            rank_pool[m] = iter(ranks)
+        # Node i keeps the rank_in_group-th surviving rank of its group, so
+        # the default (no seed) reproduces the plain generator-by-rank
+        # assignment.
+        gens = [next(rank_pool[m]) for m in groups]
+        codes = array_to_sequence(_array_stack(params, groups, gens))
+    seqs = tuple(ScheduleSequence(row, owner_group=m) for row, m in zip(codes, groups))
+    return ScheduleSequenceSet(seqs, params=params)
 
 
 def length_upper_bound(K: int, M: int) -> int:

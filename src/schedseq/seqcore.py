@@ -96,9 +96,9 @@ class ScheduleSequence:
         object.__setattr__(self, "codes", _as_code_array(self.codes))
         if self.owner_group < 1:
             raise ValueError("owner_group must be >= 1")
-        tx = self.codes[self.codes > 0]
-        if tx.size and not (tx == self.owner_group).all():
-            bad = int(tx[tx != self.owner_group][0])
+        foreign = (self.codes > 0) & (self.codes != self.owner_group)
+        if foreign.any():
+            bad = int(self.codes[foreign.argmax()])
             raise ValueError(
                 f"transmit on channel {bad} but node owns group {self.owner_group}")
         self.codes.setflags(write=False)
@@ -263,10 +263,15 @@ def _crt_basis(p: int, q: int) -> tuple[int, int]:
 
 
 def crt_inverse(residues: tuple[int, int], p: int, q: int) -> int:
-    """Unique t in Z_pq with t = a (mod p) and t = b (mod q)."""
+    """Unique t in Z_pq with t = a (mod p) and t = b (mod q).
+
+    a and b may also be integer arrays (broadcast together); t is then
+    computed elementwise.
+    """
     a, b = residues
     e_p, e_q = _crt_basis(p, q)
-    if not (0 <= a < p and 0 <= b < q):
+    inside = (0 <= a) & (a < p) & (0 <= b) & (b < q)  # a bool for ints
+    if inside is not True and not np.all(inside):
         raise ValueError(f"residues {residues} out of range for (p, q)=({p}, {q})")
     return (a * e_p + b * e_q) % (p * q)
 
@@ -288,12 +293,18 @@ def sequence_to_array(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def array_to_sequence(arr: np.ndarray) -> np.ndarray:
-    """Inverse of sequence_to_array: s(t) = arr(t mod rows, t mod cols)."""
-    rows, cols = arr.shape
+    """Inverse of sequence_to_array: s(t) = arr(t mod rows, t mod cols).
+
+    A stack of arrays, shape (..., rows, cols), flattens each one: the
+    result has shape (..., rows*cols).
+    """
+    *lead, rows, cols = arr.shape
     if math.gcd(rows, cols) != 1:
         raise ValueError(f"rows={rows} and cols={cols} must be coprime")
     t = np.arange(rows * cols)
-    return arr[t % rows, t % cols]
+    # take, not arr[..., t % rows, t % cols]: that result is laid out with
+    # the slot axis first, so each sequence would be a strided view.
+    return np.take(arr.reshape(*lead, rows * cols), t % rows * cols + t % cols, axis=-1)
 
 
 # --- cyclic shifts and Hamming correlation --------------------------------

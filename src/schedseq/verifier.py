@@ -402,18 +402,21 @@ def blocking_run(e1: BinarySequence, others: list[BinarySequence]) -> BlockingTr
 def b_sequence(b_start: int, factor, L: int, steps: int) -> list[int]:
     """Comparison recursion b_next = b - ceil(b * b_start * factor / L).
 
-    factor is the blocking-strength parameter (mu, or W*(1 - 1/k)); pass a
-    Fraction for exact ceilings.  The recursion is emitted verbatim, so
-    entries may reach zero or below; generation stops early once they do.
+    factor is the blocking-strength parameter (mu, or W*(1 - 1/k)): an int,
+    a Fraction or a float, taken at its exact value so every ceiling is an
+    integer division.  The recursion is emitted verbatim, so entries may
+    reach zero or below; generation stops early once they do.
     """
     if b_start < 1 or L < 1 or steps < 1:
         raise ValueError("need b_start >= 1, L >= 1, steps >= 1")
+    n, d = Fraction(factor).as_integer_ratio()
     seq = [b_start]
     for _ in range(steps - 1):
         b = seq[-1]
         if b <= 0:
             break
-        seq.append(b - math.ceil(b * b_start * factor / L))
+        ceiling = -(-(b * b_start * n) // (d * L))
+        seq.append(b - ceiling)
     return seq
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -199,6 +200,50 @@ class TestSerialization(_CodecCases):
 
 class TestSerializationV1(_CodecCases):
     schema = "1"
+
+
+def token_doc(sset: ScheduleSequenceSet) -> dict:
+    """The schema-2 document written field by field, each row a per-token
+    join of T<m> / R<r>."""
+    params = sset.params
+    return {
+        "schema_version": "2", "K": sset.K, "M": params.M, "W": sset.W, "L": sset.L,
+        "params": {"w": params.w, "p": params.p, "q": params.q,
+                   "Lprime": params.Lprime, "deltas": list(params.deltas)},
+        "division": [s.owner_group for s in sset.sequences],
+        "sequences": [" ".join(f"T{c}" if c > 0 else f"R{-c}" for c in s.codes.tolist())
+                      for s in sset.sequences],
+    }
+
+
+class TestSetFileBytes:
+    @pytest.mark.parametrize("K,M,W", [(10, 2, 1), (18, 3, 2), (30, 5, 5), (24, 12, 12)])
+    def test_file_is_json_dumps_of_the_token_doc(self, tmp_path, K, M, W):
+        sset = build_schedule_set(K, M, W=W, seed=7)
+        assert sset.W == W
+        path = tmp_path / "set.json"
+        save_set(sset, str(path))
+        assert path.read_bytes() == (json.dumps(token_doc(sset)) + "\n").encode("ascii")
+        assert set_to_doc(sset) == token_doc(sset)
+        again = load_set(str(path))
+        assert again == sset and again.params == sset.params
+
+    def test_handmade_set_without_params(self, three_node_set, tmp_path):
+        path = tmp_path / "ref.json"
+        save_set(three_node_set, str(path))
+        assert path.read_text() == json.dumps(set_to_doc(three_node_set)) + "\n"
+        assert load_set(str(path)) == three_node_set
+
+    def test_failure_leaves_no_file(self, tmp_path):
+        # numpy integers in the params make the header unserializable
+        sset = build_schedule_set(4, 2, W=2)
+        params = dataclasses.replace(
+            sset.params, deltas=tuple(np.int64(d) for d in sset.params.deltas))
+        bad = ScheduleSequenceSet(sset.sequences, params=params)
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            save_set(bad, str(path))
+        assert not path.exists()
 
 
 class TestGenerate:

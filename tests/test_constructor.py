@@ -1,10 +1,13 @@
 import math
+import random
+from functools import cache
 
 import numpy as np
 import pytest
 
 from schedseq.constructor import (
     CrtUiParams,
+    ScheduleSequenceSet,
     auto_correlation_predict,
     build_array,
     build_crt_ui,
@@ -15,7 +18,14 @@ from schedseq.constructor import (
     m_prime,
     select_params,
 )
-from schedseq.seqcore import GroupDivision, Symbol, hamming_cross_correlation
+from schedseq.seqcore import (
+    GroupDivision,
+    ScheduleSequence,
+    Symbol,
+    array_to_sequence,
+    cyclic_shift,
+    hamming_cross_correlation,
+)
 from schedseq.verifier import Verdict, verify_set
 
 UI_353 = CrtUiParams(K_gen=3, w=3, p=3, q=5)
@@ -228,6 +238,65 @@ class TestBuildScheduleSet:
         a = build_schedule_set(5, 2, W=2, seed=1)
         b = build_schedule_set(5, 2, W=2, seed=1)
         assert a == b
+
+
+@cache
+def per_node_codes(K: int, W: int, seed: int | None) -> np.ndarray:
+    """(K, L) codes of the set built one node at a time from the UI layer:
+    build_crt_ui -> cyclic_shift by delta_m -> relabel each row ->
+    array_to_sequence, or relabel(1, 1) of a UI sequence when W = 1."""
+    params = select_params(K, W, W)
+    ui = params.ui_params
+    if params.W == 1:
+        order = list(range(K))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        return np.stack([build_crt_ui(ui, order[i] + 1).relabel(1, 1).codes
+                         for i in range(K)])
+    rng = random.Random(seed) if seed is not None else None
+    pool = {}
+    for m in range(1, params.W + 1):
+        ranks = list(range(1, params.ell + 1))
+        if rng is not None:
+            rng.shuffle(ranks)
+        pool[m] = ranks
+    rows = []
+    for i in range(1, K + 1):
+        m = params.division.group_of(i)
+        u = build_crt_ui(ui, pool[m][params.division.rank_in_group(i) - 1])
+        shifted = cyclic_shift(u, params.deltas[m - 1])
+        arr = np.stack([seq.relabel(m, r).codes
+                        for r in range(1, params.W + 1) for seq in (u, shifted)])
+        rows.append(array_to_sequence(arr))
+    return np.stack(rows)
+
+
+class TestSetWideBuild:
+    @pytest.mark.parametrize("K", range(2, 31))
+    def test_matches_per_node_oracle(self, K):
+        # every M <= min(K, 6), every W <= M and the period-minimizing W;
+        # K not a multiple of W gives uneven groups
+        for M in range(1, min(K, 6) + 1):
+            for W in [None, *range(1, M + 1)]:
+                for seed in (None, 0, 7):
+                    sset = build_schedule_set(K, M, W, seed=seed)
+                    used = choose_W(K, M)[0] if W is None else W
+                    # M only enters the params, so one oracle serves every M
+                    want = per_node_codes(K, used, seed)
+                    assert np.array_equal(sset.codes_matrix(), want), (K, M, W, seed)
+                    assert sset.params.M == M and sset.W == used
+
+    def test_rows_are_contiguous_and_read_only(self):
+        for seq in build_schedule_set(12, 3, W=3).sequences:
+            assert seq.codes.flags.c_contiguous and not seq.codes.flags.writeable
+
+    def test_validation_messages_unchanged(self):
+        with pytest.raises(ValueError, match="^transmit on channel 3 but node owns group 1$"):
+            ScheduleSequence(np.array([-1, 1, 3, 2], dtype=np.int16), owner_group=1)
+        seqs = (ScheduleSequence(np.array([1, -3, -2]), 1),
+                ScheduleSequence(np.array([2, -1, -1]), 2))
+        with pytest.raises(ValueError, match="^receive channel 3 exceeds W=2$"):
+            ScheduleSequenceSet(seqs)
 
 
 class TestLengthUpperBound:

@@ -84,6 +84,34 @@ class TestCrtMap:
         values = rng.integers(0, 3, size=35)
         assert np.array_equal(array_to_sequence(sequence_to_array(values, 5, 7)), values)
 
+    @pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3)])
+    def test_stacked_array_to_sequence_flattens_each_slice(self, lead):
+        rng = np.random.default_rng(2)
+        for rows, cols in [(1, 1), (2, 3), (4, 15), (6, 35)]:
+            stack = rng.integers(-5, 6, size=(*lead, rows, cols)).astype(np.int16)
+            flat = array_to_sequence(stack)
+            assert flat.shape == (*lead, rows * cols) and flat.dtype == np.int16
+            assert flat.flags.c_contiguous
+            for idx in np.ndindex(*lead):
+                assert np.array_equal(flat[idx], array_to_sequence(stack[idx]))
+                assert np.array_equal(sequence_to_array(flat[idx], rows, cols), stack[idx])
+
+    def test_stacked_array_to_sequence_needs_coprime_axes(self):
+        with pytest.raises(ValueError):
+            array_to_sequence(np.zeros((3, 4, 6), dtype=np.int16))
+
+    def test_inverse_on_arrays_matches_scalars(self):
+        p, q = 7, 11
+        a = np.arange(p)[:, None]
+        b = np.arange(q)
+        t = crt_inverse((a, b), p, q)
+        assert t.shape == (p, q)
+        for x in range(p):
+            for y in range(q):
+                assert t[x, y] == crt_inverse((x, y), p, q)
+        with pytest.raises(ValueError):
+            crt_inverse((a, b + 1), p, q)
+
 
 class TestCyclicShift:
     def test_binary_example(self):

@@ -481,6 +481,26 @@ class TestBSequence:
             if len(seq) == C and seq[-1] >= 1:
                 assert L >= math.ceil(8 * C * C * mu / 9), (C, mu, L, seq)
 
+    def test_ceilings_are_exact(self):
+        # int, Fraction and float factors all give math.ceil of the exact
+        # rational value, even where the float quotient lands beside an integer
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            C = int(rng.integers(1, 30))
+            L = int(rng.integers(1, 4000))
+            for factor in (int(rng.integers(1, 5)),
+                           Fraction(int(rng.integers(1, 400)), int(rng.integers(1, 100))),
+                           float(rng.uniform(1.0, 4.0))):
+                want = [C]
+                while len(want) < C and want[-1] > 0:
+                    b = want[-1]
+                    want.append(b - math.ceil(Fraction(b * C) * Fraction(factor) / L))
+                assert b_sequence(C, factor, L, steps=C) == want, (C, factor, L)
+        # the double nearest 0.1 lies just above 1/10, so ceil(100 * 0.1 / 10)
+        # is 2, where float arithmetic rounds the quotient to 1.0
+        assert b_sequence(10, 0.1, 10, steps=2) == [10, 8]
+        assert b_sequence(10, Fraction(1, 10), 10, steps=2) == [10, 9]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             b_sequence(0, 1, 10, steps=3)
