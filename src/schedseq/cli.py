@@ -144,6 +144,13 @@ def _parse_tokens(text: str, L: int, W: int) -> np.ndarray:
     return np.where(kinds == _T, channels, -channels).astype(np.int16)
 
 
+def _json_int(value: Any, name: str) -> int:
+    """value when it is a JSON integer: floats, bools and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
     """Read a schema-1 (one token list per sequence) or schema-2 (one token
     string per sequence) document; both go through one token parser."""
@@ -155,8 +162,8 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
             f"unsupported schema_version {version!r}, expected \"1\" or \"2\"")
     row_type = list if version == "1" else str
     try:
-        K, M, W, L = (int(doc[k]) for k in ("K", "M", "W", "L"))
-        division = [int(g) for g in doc["division"]]
+        K, M, W, L = (_json_int(doc[k], k) for k in ("K", "M", "W", "L"))
+        division = [_json_int(g, "division entry") for g in doc["division"]]
         raw_seqs = doc["sequences"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SequenceSetFormatError(f"malformed document: {exc}") from exc
@@ -185,8 +192,9 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
             params = ConstructionParams(
                 K=K, M=M, W=W, division=GroupDivision(tuple(division)),
                 ell=GroupDivision(tuple(division)).ell,
-                w=int(p["w"]), p=int(p["p"]), q=int(p["q"]),
-                Lprime=int(p["Lprime"]), L=L, deltas=tuple(int(d) for d in p["deltas"]),
+                w=_json_int(p["w"], "w"), p=_json_int(p["p"], "p"), q=_json_int(p["q"], "q"),
+                Lprime=_json_int(p["Lprime"], "Lprime"), L=L,
+                deltas=tuple(_json_int(d, "delta") for d in p["deltas"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SequenceSetFormatError(f"bad construction params: {exc}") from exc
@@ -255,11 +263,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
     _emit({"verdict": report.verdict.value, "method": report.method.value,
            "pairs_checked": report.pairs_checked, "witness": witness})
-    if report.verdict in (Verdict.PROVEN, Verdict.PROVEN_CONSERVATIVE):
-        return 0
-    if report.verdict is Verdict.FAILED_WITH_WITNESS:
-        return 2
-    return 3
+    return {Verdict.PROVEN: 0, Verdict.PROVEN_CONSERVATIVE: 0,
+            Verdict.FAILED_WITH_WITNESS: 2}.get(report.verdict, 3)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -306,11 +311,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--random needs --K")
         W = args.W if args.W is not None else 1
         if args.scheme == "general":
-            p = optimize_random(W, args.K, "general")[0]
-            scheme = GeneralRandomScheme(GeneralRandomParams(W, args.K, p))
+            kind, Params, Scheme = "general", GeneralRandomParams, GeneralRandomScheme
         else:
-            p = optimize_random(W, args.K, "assign_t")[0]
-            scheme = AssignTRandomScheme(AssignTRandomParams(W, args.K, p))
+            kind, Params, Scheme = "assign_t", AssignTRandomParams, AssignTRandomScheme
+        scheme = Scheme(Params(W, args.K, optimize_random(W, args.K, kind)[0]))
     else:
         scheme = SequenceScheme(load_set(getattr(args, "in")))
     config = SimConfig(scheme=scheme, runs=args.runs, seed=args.seed,

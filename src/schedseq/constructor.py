@@ -92,9 +92,7 @@ def auto_correlation_predict(params: CrtUiParams, g: int, tau: int) -> int:
     p, q, w = params.p, params.q, params.w
     a, b = crt_map(tau, p, q)
     for d in range(w):
-        if (a, b) == (g * d % p, d % q):
-            return w - d
-        if (a, b) == (-g * d % p, -d % q):
+        if (a, b) in ((g * d % p, d % q), (-g * d % p, -d % q)):
             return w - d
     return 0
 

@@ -141,7 +141,7 @@ class BinarySequence:
         arr = np.asarray(self.bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("bits must be a non-empty 1-D array")
-        if not np.isin(arr, (0, 1)).all():
+        if not (arr <= 1).all():
             raise ValueError("bits must be 0/1")
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
@@ -311,15 +311,12 @@ def array_to_sequence(arr: np.ndarray) -> np.ndarray:
 
 def cyclic_shift(seq, tau: int):
     """Cyclic shift by tau slots: output index t holds input index t+tau mod L."""
+    if not isinstance(seq, (BinarySequence, ScheduleSequence)):
+        raise TypeError(f"cannot shift {type(seq).__name__}")
+    _check_shift(tau, seq.length)
     if isinstance(seq, BinarySequence):
-        L = seq.length
-        _check_shift(tau, L)
         return BinarySequence(np.roll(seq.bits, -tau))
-    if isinstance(seq, ScheduleSequence):
-        L = seq.length
-        _check_shift(tau, L)
-        return ScheduleSequence(np.roll(seq.codes, -tau), seq.owner_group)
-    raise TypeError(f"cannot shift {type(seq).__name__}")
+    return ScheduleSequence(np.roll(seq.codes, -tau), seq.owner_group)
 
 
 def _check_shift(tau: int, L: int) -> None:

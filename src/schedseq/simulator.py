@@ -56,7 +56,14 @@ class SequenceScheme:
 
     def action_source(self, rngs, offset_mode):
         K, L = self.K, self.sset.L
-        taus = np.array([_draw_offsets(offset_mode, rng, K, L) for rng in rngs])
+        if isinstance(offset_mode, OffsetVector):
+            if len(offset_mode.offsets) != K or offset_mode.period != L:
+                raise ValueError("fixed offsets do not match the scheme")
+            taus = np.tile(offset_mode.offsets, (len(rngs), 1))
+        elif offset_mode == "zero":
+            taus = np.zeros((len(rngs), K), dtype=np.int64)
+        else:
+            taus = np.array([rng.integers(0, L, size=K) for rng in rngs])
         return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
 
 
@@ -75,22 +82,49 @@ class _DrawnScheme:
     def default_max_slots(self) -> int:
         return 20 * frame_length(self.K)
 
+    def action_source(self, rngs, offset_mode):
+        """Each active run draws a fresh (K, T) block of uniforms from its
+        own stream, mapped to slot actions by codes()."""
+        def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
+            out = np.empty((ids.size, self.K, T), dtype=np.int16)
+            for n, r in enumerate(ids):
+                out[n] = self.codes(rngs[r].random((self.K, T)))
+            return out
+        return actions
+
 
 @dataclass(frozen=True)
 class AssignTRandomScheme(_DrawnScheme):
     params: AssignTRandomParams
 
-    def action_source(self, rngs, offset_mode):
-        division = GroupDivision.even(self.K, self.W)
-        return _drawn_actions(rngs, self.K, lambda u: _assign_t_codes(self, u, division))
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """Symbol codes of uniform draws u (K x T): transmit on the node's
+        own channel for p_b, then receive on it for q_1, then on the other
+        channels in ascending order for q_2 each."""
+        params = self.params
+        W = params.W
+        own = np.array(GroupDivision.even(params.K, W).assignment)[:, None]
+        codes = np.where(u < params.p_b, own, -own)
+        if W > 1:
+            tail = u - params.p_b - params.q_1
+            pick = np.clip((tail / params.q_2).astype(np.int64), 0, W - 2) + 1
+            # the pick-th channel other than own: channels from own up move one up
+            codes = np.where(tail >= 0, -(pick + (pick >= own)), codes)
+        return codes
 
 
 @dataclass(frozen=True)
 class GeneralRandomScheme(_DrawnScheme):
     params: GeneralRandomParams
 
-    def action_source(self, rngs, offset_mode):
-        return _drawn_actions(rngs, self.K, lambda u: _general_codes(self, u))
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """Symbol codes of uniform draws u: transmit on channels 1..W in
+        turn for p_a each, then receive on channels 1..W for q_a each."""
+        params = self.params
+        W = params.W
+        tx_ch = np.clip((u / params.p_a).astype(np.int64), 0, W - 1) + 1
+        rx_ch = np.clip(((u - W * params.p_a) / params.q_a).astype(np.int64), 0, W - 1) + 1
+        return np.where(u < W * params.p_a, tx_ch, -rx_ch)
 
 
 @dataclass(frozen=True)
@@ -127,9 +161,7 @@ class SimConfig:
         return self.scheme.W
 
     def resolved_max_slots(self) -> int:
-        if self.max_slots is not None:
-            return self.max_slots
-        return self.scheme.default_max_slots()
+        return self.scheme.default_max_slots() if self.max_slots is None else self.max_slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,61 +186,12 @@ class SimResult:
                 and np.array_equal(self.censored, other.censored))
 
 
-def _draw_offsets(mode: str | OffsetVector, rng: np.random.Generator,
-                  K: int, L: int) -> np.ndarray:
-    if isinstance(mode, OffsetVector):
-        if len(mode.offsets) != K or mode.period != L:
-            raise ValueError("fixed offsets do not match the scheme")
-        return np.array(mode.offsets)
-    if mode == "zero":
-        return np.zeros(K, dtype=np.int64)
-    return rng.integers(0, L, size=K)
-
-
-def _drawn_actions(rngs: list[np.random.Generator], K: int, to_codes) -> kernel.Actions:
-    """Action source of a random scheme: each active run draws a fresh
-    (K, T) block of uniforms from its own stream, mapped by to_codes."""
-    def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
-        out = np.empty((ids.size, K, T), dtype=np.int16)
-        for n, r in enumerate(ids):
-            out[n] = to_codes(rngs[r].random((K, T)))
-        return out
-    return actions
-
-
-def _assign_t_codes(scheme: AssignTRandomScheme, u: np.ndarray,
-                    division: GroupDivision) -> np.ndarray:
-    """Map uniform draws u (K x T) to symbol codes for the grouped scheme."""
-    params = scheme.params
-    K, W = params.K, params.W
-    own = np.array(division.assignment)[:, None]
-    codes = np.where(u < params.p_b, own, -own)  # transmit or own-channel receive
-    if W > 1:
-        others = np.array([[m for m in range(1, W + 1) if m != g]
-                           for g in division.assignment])
-        tail = u - params.p_b - params.q_1
-        pick = np.clip((tail / params.q_2).astype(np.int64), 0, W - 2)
-        other_ch = np.take_along_axis(
-            np.broadcast_to(others[:, None, :], (K, u.shape[1], W - 1)),
-            pick[:, :, None], axis=2)[:, :, 0]
-        codes = np.where(tail >= 0, -other_ch, codes)
-    return codes
-
-
-def _general_codes(scheme: GeneralRandomScheme, u: np.ndarray) -> np.ndarray:
-    params = scheme.params
-    W = params.W
-    tx_zone = u < W * params.p_a
-    tx_ch = np.clip((u / params.p_a).astype(np.int64), 0, W - 1) + 1
-    rx_ch = np.clip(((u - W * params.p_a) / params.q_a).astype(np.int64), 0, W - 1) + 1
-    return np.where(tx_zone, tx_ch, -rx_ch)
-
-
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
-    """Execute runs [start, stop); child streams are keyed by run index,
-    so results are identical no matter how runs are batched."""
-    children = np.random.SeedSequence(config.seed).spawn(config.runs)[start:stop]
-    rngs = [np.random.default_rng(child) for child in children]
+    """Execute runs [start, stop); run k's stream is the k-th child of the
+    seed (SeedSequence.spawn order), so results are identical no matter
+    how runs are batched."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+            for k in range(start, stop)]
     actions = config.scheme.action_source(rngs, config.offset_mode)
     K, n = config.K, stop - start
     off_diag = ~np.eye(K, dtype=bool)
@@ -263,7 +246,10 @@ class CompletionHistogram:
 def completion_histogram(result: SimResult,
                          quantiles: tuple[float, ...] = (0.5, 0.9, 0.99)) -> CompletionHistogram:
     """Normalized PMF/CDF of completion times; censored runs are a
-    separate mass and enter the mean at the slot cap."""
+    separate mass and enter the mean at the slot cap.  The q-quantile is
+    the ceil(q n)-th smallest time, the smallest for q = 0."""
+    if any(not 0 <= q <= 1 for q in quantiles):
+        raise ValueError(f"quantiles must lie in [0, 1], got {quantiles}")
     n = result.runs
     ok = ~result.censored
     values, counts = np.unique(result.completion_times[ok], return_counts=True)
@@ -272,7 +258,7 @@ def completion_histogram(result: SimResult,
     qs: dict[float, int] = {}
     all_times = np.sort(result.completion_times)
     for q in quantiles:
-        qs[q] = int(all_times[min(n - 1, int(np.ceil(q * n)) - 1)]) if n else 0
+        qs[q] = int(all_times[min(n - 1, max(0, int(np.ceil(q * n)) - 1))]) if n else 0
     return CompletionHistogram(
         values=tuple(int(v) for v in values),
         counts=tuple(int(c) for c in counts),

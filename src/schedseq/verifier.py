@@ -9,12 +9,12 @@ bounds on the period.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,36 +69,18 @@ class VerificationReport:
     witness: Witness | None = None
 
 
-def _colliders(division, i: int, j: int) -> list[int]:
-    """The nodes besides i and j that transmit on i's channel."""
+def _pair_masks(sset: ScheduleSequenceSet, i: int, j: int):
+    """i's transmit mask on its group's channel, j's receive mask for that
+    channel, and the colliders (the rest of i's group) with their transmit
+    masks, read off the pair's own sequences."""
     if i == j:
         raise ValueError("transmitter and receiver must differ")
-    return [x for x in division.members(division.group_of(i)) if x not in (i, j)]
-
-
-class _SetMasks:
-    """Per-node transmit masks of one set, made on first use and shared by
-    the pair checks that read them."""
-
-    def __init__(self, sset: ScheduleSequenceSet) -> None:
-        self.sset = sset
-        self.division = sset.division
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        return self.sset.codes_matrix()
-
-    @cached_property
-    def tx(self) -> np.ndarray:
-        """(K, L): the slots where each node transmits on its group's channel."""
-        return self.codes == np.array(self.division.assignment)[:, None]
-
-    def pair(self, i: int, j: int):
-        """i transmitting, j receiving on i's channel, and the colliders
-        with their transmit masks."""
-        colliders = _colliders(self.division, i, j)
-        rj = self.codes[j - 1] == -self.division.group_of(i)
-        return self.tx[i - 1], rj, colliders, [self.tx[x - 1] for x in colliders]
+    seqs = sset.sequences
+    m = seqs[i - 1].owner_group
+    colliders = [x for x, s in enumerate(seqs, start=1)
+                 if s.owner_group == m and x not in (i, j)]
+    return (seqs[i - 1].codes == m, seqs[j - 1].codes == -m, colliders,
+            [seqs[x - 1].codes == m for x in colliders])
 
 
 def _shift_table(mask: np.ndarray) -> np.ndarray:
@@ -121,30 +103,23 @@ def _axis_blocks(L: int) -> list[slice]:
     return [slice(lo, min(lo + step, L)) for lo in range(0, L, step)]
 
 
-class _Float32Rows:
-    """A shift table's row blocks as float32 matmul operands, each with its
-    first row.  A one-block table is converted once and kept; a longer one
-    is converted block by block on every pass, so that no array with L x L
-    entries is made."""
-
-    def __init__(self, table: np.ndarray, blocks: list[slice]) -> None:
-        self.table, self.blocks = table, blocks
-        self.whole = [(0, table.astype(np.float32))] if len(blocks) == 1 else None
-
-    def __iter__(self):
-        if self.whole is not None:
-            return iter(self.whole)
-        return ((b.start, self.table[b].astype(np.float32)) for b in self.blocks)
+def _operand(table: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """A shift table to be read a row block b at a time as float32, by
+    table[b].astype(np.float32, copy=False): converted here when one block
+    covers it, else block by block as it is read, so that no array with
+    L x L entries is made."""
+    return table.astype(np.float32) if len(blocks) == 1 else table
 
 
-def _first_zero(rows: np.ndarray, columns: _Float32Rows) -> tuple[int, int] | None:
+def _first_zero(rows: np.ndarray, columns: np.ndarray,
+                blocks: list[slice]) -> tuple[int, int] | None:
     """First zero of rows @ columns.T in row-major order, as (row, column)."""
     hit = None
-    for start, block in columns:
-        zero = rows @ block.T == 0
+    for b in blocks:
+        zero = rows @ columns[b].astype(np.float32, copy=False).T == 0
         if zero.any():
             r = int(zero.any(axis=1).argmax())
-            found = (r, start + int(zero[r].argmax()))
+            found = (r, b.start + int(zero[r].argmax()))
             hit = found if hit is None else min(hit, found)
     return hit
 
@@ -156,12 +131,11 @@ def success_slots(sset: ScheduleSequenceSet, i: int, j: int,
     Only offsets of i's group and of j are consulted; missing ones
     default to 0.
     """
-    ti, rj, colliders, tx = _SetMasks(sset).pair(i, j)
+    ti, rj, colliders, tx = _pair_masks(sset, i, j)
     free = np.roll(ti, -offsets.get(i, 0))
     for x, txx in zip(colliders, tx):
         free &= ~np.roll(txx, -offsets.get(x, 0))
-    ok = free & np.roll(rj, -offsets.get(j, 0))
-    return [int(t) for t in np.flatnonzero(ok)]
+    return np.flatnonzero(free & np.roll(rj, -offsets.get(j, 0))).tolist()
 
 
 def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
@@ -170,28 +144,23 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
 
     The success predicate only references i's group and j, and is
     invariant under a common shift of all offsets, so tau_i is pinned to 0
-    and the remaining nodes sweep Z_L each.  The budget counts offset
-    combinations; exceeding it yields UNKNOWN.
+    and the rest sweep Z_L.  A pair needing more combinations than budget
+    is UNKNOWN, decided before any mask is made.  All colliders but the
+    last are enumerated; for each of their combinations, the slots left
+    free at every offset of the last collider, times the receiver's shift
+    table, count the deliveries at every (tau_last, tau_j) in one matmul.
+    The first zero in row-major order is the witness: the first failure in
+    itertools.product order over (colliders, receiver).
     """
-    return _exhaustive(_SetMasks(sset), i, j, budget)
-
-
-def _exhaustive(masks: _SetMasks, i: int, j: int, budget: int) -> VerificationReport:
-    """check_pair_exhaustive on shared masks.
-
-    All colliders but the last are enumerated.  For each of their offset
-    combinations, the transmit slots left free at every offset of the last
-    collider, times the receiver's shift table, count the deliveries at
-    every (tau_last, tau_j) in one matmul; a zero is a failure.  The first
-    zero in row-major order is the witness, so that the witness is the
-    first failure in itertools.product order over (colliders, receiver).
-    """
-    L = masks.sset.L
-    if L ** (len(_colliders(masks.division, i, j)) + 1) > budget:
+    L, seqs = sset.L, sset.sequences
+    m = seqs[i - 1].owner_group
+    # the nodes that sweep Z_L: the colliders and j (_pair_masks refuses i == j)
+    swept = sum(s.owner_group == m for s in seqs) - (seqs[j - 1].owner_group == m)
+    if i != j and L ** swept > budget:
         return VerificationReport(Verdict.UNKNOWN, Method.EXHAUSTIVE, pairs_checked=1)
-    ti, rj, colliders, tx = masks.pair(i, j)
+    ti, rj, colliders, tx = _pair_masks(sset, i, j)
     blocks = _axis_blocks(L)
-    receive = _Float32Rows(_shift_table(rj), blocks)
+    receive = _operand(_shift_table(rj), blocks)
     tables = [_shift_table(t) for t in tx]
     for combo in itertools.product(range(L), repeat=max(0, len(tables) - 1)):
         free = ti.copy()
@@ -199,7 +168,7 @@ def _exhaustive(masks: _SetMasks, i: int, j: int, budget: int) -> VerificationRe
             free &= ~table[tau]
         for rows in blocks if tables else [slice(0, 1)]:
             block = free & ~tables[-1][rows] if tables else free[None, :]
-            hit = _first_zero(block.astype(np.float32), receive)
+            hit = _first_zero(block.astype(np.float32), receive, blocks)
             if hit is not None:
                 offsets = {i: 0, j: hit[1]}
                 offsets.update(zip(colliders, combo + (rows.start + hit[0],)))
@@ -216,20 +185,14 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     subtracts, per collider, the largest number of those match slots it
     could cover at any shift.  A positive remainder everywhere proves the
     pair; otherwise the answer is UNKNOWN (never a refutation, since the
-    colliders cannot in general realize all maxima simultaneously).
+    colliders cannot in general realize all maxima simultaneously).  A
+    collider's worst case at a block of receiver offsets is the row
+    maximum of the match rows times its shift table.
     """
-    return _conservative(_SetMasks(sset), i, j)
-
-
-def _conservative(masks: _SetMasks, i: int, j: int) -> VerificationReport:
-    """check_pair_conservative on shared masks, a block of receiver offsets
-    at a time: a collider's worst case at each of them is the row maximum
-    of the match rows times its shift table."""
-    ti, rj, _, tx = masks.pair(i, j)
-    L = masks.sset.L
-    blocks = _axis_blocks(L)
+    ti, rj, _, tx = _pair_masks(sset, i, j)
+    blocks = _axis_blocks(sset.L)
     receive = _shift_table(rj)
-    colliders = [_Float32Rows(_shift_table(t), blocks) for t in tx]
+    colliders = [_operand(_shift_table(t), blocks) for t in tx]
     for rows in blocks:
         match = ti & receive[rows]
         slack = np.count_nonzero(match, axis=1)
@@ -237,7 +200,8 @@ def _conservative(masks: _SetMasks, i: int, j: int) -> VerificationReport:
         for shifts in colliders:
             if (slack < 1).any():
                 break
-            worst = np.maximum.reduce([(match @ block.T).max(axis=1) for _, block in shifts])
+            worst = np.maximum.reduce(
+                [(match @ shifts[b].astype(np.float32, copy=False).T).max(axis=1) for b in blocks])
             slack = slack - worst.astype(np.int64)
         if (slack < 1).any():
             return VerificationReport(Verdict.UNKNOWN, Method.CONSERVATIVE, pairs_checked=1)
@@ -256,15 +220,15 @@ def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int, int
     conservative method, which never refutes.  Returns the decisive pair's
     (index, report) or None, and whether an UNKNOWN pair came before it.
     """
-    masks = _SetMasks(sset)
+    if method is Method.EXHAUSTIVE:
+        check = functools.partial(check_pair_exhaustive, budget=budget)
+        decisive = Verdict.FAILED_WITH_WITNESS
+    else:
+        check, decisive = check_pair_conservative, Verdict.UNKNOWN
     unknown = False
     for index, i, j in pairs:
-        if method is Method.EXHAUSTIVE:
-            report = _exhaustive(masks, i, j, budget)
-        else:
-            report = _conservative(masks, i, j)
-        if report.verdict is Verdict.FAILED_WITH_WITNESS or (
-                report.verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
+        report = check(sset, i, j)
+        if report.verdict is decisive:
             return (index, report), unknown
         unknown |= report.verdict is Verdict.UNKNOWN
     return None, unknown
@@ -344,7 +308,6 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     codes = sset.codes_matrix()
     K, L = sset.K, sset.L
-    division = sset.division
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
     for d in range(stop):
         lo = d * _DRAW_SAMPLES
@@ -358,7 +321,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
             if failed.any():
                 b = int(failed.argmax())
                 i, j = (x + 1 for x in divmod(int(bad[b].argmax()), K))
-                relevant = set(division.members(division.group_of(i))) | {j}
+                relevant = {i, j, *_pair_masks(sset, i, j)[2]}  # i's group and j
                 offsets = {x: int(taus[ids[b], x - 1]) for x in sorted(relevant)}
                 return lo + int(ids[b]), Witness(i, j, offsets)
     return None

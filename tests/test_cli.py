@@ -159,6 +159,24 @@ class _CodecCases(_SchemaDocs):
         with pytest.raises(SequenceSetFormatError, match="sequence 2:"):
             set_from_doc(doc)
 
+    @pytest.mark.parametrize("field", ["K", "M", "W", "L", "division", "w", "p", "q",
+                                       "Lprime", "deltas"])
+    @pytest.mark.parametrize("convert", [float, lambda v: v + 0.9, bool, str],
+                             ids=["float", "fraction", "bool", "string"])
+    def test_rejects_numbers_that_are_not_json_integers(self, field, convert):
+        # int() would load 4.0, 4.9, true and "4" as 4
+        doc = self.doc(build_schedule_set(4, 2, W=2))
+        if field == "division":
+            doc["division"][0] = convert(doc["division"][0])
+        elif field == "deltas":
+            doc["params"]["deltas"][-1] = convert(doc["params"]["deltas"][-1])
+        elif field in doc:
+            doc[field] = convert(doc[field])
+        else:
+            doc["params"][field] = convert(doc["params"][field])
+        with pytest.raises(SequenceSetFormatError, match="must be an integer"):
+            set_from_doc(doc)
+
     @pytest.mark.parametrize("version", [None, "", "3", 2, 1])
     def test_rejects_missing_or_unknown_version(self, three_node_set, version):
         doc = self.doc(three_node_set)

@@ -186,7 +186,6 @@ class TestSimulateRandom:
         # W=2: a node transmits on either channel, so one pair can succeed on
         # both channels within a chunk; the earliest slot must win
         from schedseq.kernel import CHUNK_SLOTS
-        from schedseq.simulator import _general_codes
         params = GeneralRandomParams(2, 6, 0.09)
         scheme = GeneralRandomScheme(params)
         runs, seed, max_slots = 12, 5, 20_000
@@ -199,7 +198,7 @@ class TestSimulateRandom:
             chunks, t0 = [], 0
             while t0 < max_slots:
                 T = min(CHUNK_SLOTS, max_slots - t0)
-                chunks.append(_general_codes(scheme, rng.random((params.K, T))))
+                chunks.append(scheme.codes(rng.random((params.K, T))))
                 t0 += T
                 first = np.array(brute_force_first_success(np.concatenate(chunks, axis=1)))
                 if (first[off_diag] >= 0).all():
@@ -209,23 +208,21 @@ class TestSimulateRandom:
 
     def test_action_distribution_general(self):
         # empirical action frequencies match (p_a, q_a) per channel
-        from schedseq.simulator import _general_codes
         params = GeneralRandomParams(3, 4, 0.1)
         scheme = GeneralRandomScheme(params)
         rng = np.random.default_rng(0)
-        codes = _general_codes(scheme, rng.random((1, 200_000)))
+        codes = scheme.codes(rng.random((1, 200_000)))
         for m in range(1, 4):
             assert (codes == m).mean() == pytest.approx(params.p_a, abs=3e-3)
             assert (codes == -m).mean() == pytest.approx(params.q_a, abs=3e-3)
 
     def test_action_distribution_assign_t(self):
         from schedseq.seqcore import GroupDivision
-        from schedseq.simulator import _assign_t_codes
         params = AssignTRandomParams(3, 6, 0.2)
         scheme = AssignTRandomScheme(params)
         division = GroupDivision.even(6, 3)
         rng = np.random.default_rng(1)
-        codes = _assign_t_codes(scheme, rng.random((6, 100_000)), division)
+        codes = scheme.codes(rng.random((6, 100_000)))
         for node in range(6):
             own = division.assignment[node]
             row = codes[node]
@@ -234,6 +231,66 @@ class TestSimulateRandom:
             for other in range(1, 4):
                 if other != own:
                     assert (row == -other).mean() == pytest.approx(params.q_2, abs=4e-3)
+
+
+def edge_grid(edges) -> np.ndarray:
+    """Uniforms in [0, 1) on every band edge, one ulp either side of it,
+    and halfway between adjacent edges."""
+    edges = sorted(set([0.0, *edges, 1.0]))
+    points = [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
+    for e in edges:
+        points += [np.nextafter(e, -1.0), e, np.nextafter(e, 2.0)]
+    return np.array(sorted({u for u in points if 0.0 <= u < 1.0}))
+
+
+class TestCodeMapsAgainstBands:
+    """codes(u) against per-draw band lookups: the scheme's probabilities
+    split [0, 1) into consecutive bands, one per action."""
+
+    @staticmethod
+    def assign_t_action(params, own: int, u: float) -> int:
+        # bands: transmit on own (p_b), receive on own (q_1), then receive
+        # on each other channel in ascending order (q_2 each; the last band
+        # absorbs rounding up to 1)
+        if u < params.p_b:
+            return own
+        tail = u - params.p_b - params.q_1
+        if tail < 0 or params.W == 1:  # one channel: q_1 = 1 - p_b
+            return -own
+        others = [m for m in range(1, params.W + 1) if m != own]
+        return -others[min(int(tail / params.q_2), params.W - 2)]
+
+    @staticmethod
+    def general_action(params, u: float) -> int:
+        # bands: transmit on channel 1..W (p_a each), then receive on
+        # channel 1..W (q_a each)
+        W = params.W
+        if u < W * params.p_a:
+            return min(int(u / params.p_a), W - 1) + 1
+        return -(min(int((u - W * params.p_a) / params.q_a), W - 1) + 1)
+
+    @pytest.mark.parametrize("W", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p_b", [0.05, 0.3, 0.61])
+    def test_assign_t(self, W, p_b):
+        K = 7
+        params = AssignTRandomParams(W, K, p_b)
+        base = params.p_b + params.q_1
+        u = edge_grid([params.p_b, base] + [base + k * params.q_2 for k in range(1, W)])
+        own = [(x % W) + 1 for x in range(K)]  # round-robin groups
+        got = AssignTRandomScheme(params).codes(np.tile(u, (K, 1)))
+        want = [[self.assign_t_action(params, g, float(v)) for v in u] for g in own]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("W", [1, 2, 3, 4])
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.93])
+    def test_general(self, W, share):
+        params = GeneralRandomParams(W, 5, share / W)
+        tx = W * params.p_a
+        u = edge_grid([m * params.p_a for m in range(1, W + 1)]
+                      + [tx + m * params.q_a for m in range(1, W)])
+        got = GeneralRandomScheme(params).codes(np.tile(u, (5, 1)))
+        want = [self.general_action(params, float(v)) for v in u]
+        assert got.tolist() == [want] * 5
 
 
 class TestChannelCountEffects:
@@ -279,7 +336,15 @@ class TestCompletionHistogram:
     def test_quantiles_are_order_statistics(self):
         sset = build_schedule_set(4, 2, W=2)
         res = simulate(SimConfig(SequenceScheme(sset), runs=200, seed=2))
-        hist = completion_histogram(res)
+        hist = completion_histogram(res, quantiles=(0, 0.5, 0.99, 1))
         sorted_times = np.sort(res.completion_times)
+        assert hist.quantiles[0] == sorted_times[0]
         assert hist.quantiles[0.5] == sorted_times[99]
         assert hist.quantiles[0.99] == sorted_times[197]
+        assert hist.quantiles[1] == sorted_times[199]
+
+    @pytest.mark.parametrize("q", [-0.01, 1.5, float("nan")])
+    def test_quantile_outside_unit_interval_is_refused(self, q):
+        res = simulate(SimConfig(SequenceScheme(tiny_alternating_set()), runs=4))
+        with pytest.raises(ValueError, match="quantiles"):
+            completion_histogram(res, quantiles=(0.5, q))
