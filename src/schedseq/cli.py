@@ -11,6 +11,7 @@ input or parameters.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import functools
 import json
@@ -169,6 +170,9 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
         raise SequenceSetFormatError(f"malformed document: {exc}") from exc
     if not isinstance(raw_seqs, list) or len(division) != K or len(raw_seqs) != K:
         raise SequenceSetFormatError("division and sequences must list K entries")
+    if W != max(division, default=None) or not W <= M <= K:
+        raise SequenceSetFormatError(
+            f"header W={W}, M={M}: need W = the largest division entry <= M <= K={K}")
     sequences = []
     for i, (group, row) in enumerate(zip(division, raw_seqs), start=1):
         if not isinstance(row, row_type):
@@ -399,7 +403,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed heap memory in the process instead of faulting it back in.
+
+    glibc gives the top of its heap back to the OS once more than a trim
+    threshold of it is free.  That threshold starts at 128 KiB and grows
+    only when a large mmapped block happens to be freed, so the collision
+    kernel's per-batch arrays could be given back and faulted in again
+    after every batch: a quarter of the CPU time of a fresh K=18
+    randomized verify.  The values set here are those glibc's own rule
+    reaches after a 32 MiB block is freed.  Returns whether the C library
+    took them; other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, or not glibc's
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

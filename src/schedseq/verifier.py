@@ -103,20 +103,36 @@ def _axis_blocks(L: int) -> list[slice]:
     return [slice(lo, min(lo + step, L)) for lo in range(0, L, step)]
 
 
-def _operand(table: np.ndarray, blocks: list[slice]) -> np.ndarray:
-    """A shift table to be read a row block b at a time as float32, by
-    table[b].astype(np.float32, copy=False): converted here when one block
-    covers it, else block by block as it is read, so that no array with
-    L x L entries is made."""
-    return table.astype(np.float32) if len(blocks) == 1 else table
-
-
-def _first_zero(rows: np.ndarray, columns: np.ndarray,
-                blocks: list[slice]) -> tuple[int, int] | None:
-    """First zero of rows @ columns.T in row-major order, as (row, column)."""
-    hit = None
+def _distinct_shifts(table: np.ndarray, T: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """The offsets where each distinct row of table[:, T] first occurs, in
+    order of first occurrence.  Rows are keyed block by block as packed
+    bits.  When the keys would not fit kernel.BATCH_BYTES, every offset is
+    returned: sweeping them all gives the same first failure."""
+    if not T.size:
+        return np.zeros(1, dtype=np.intp)
+    width = -(-T.size // 8)
+    if len(table) * width > kernel.BATCH_BYTES:
+        return np.arange(len(table))
+    keys = np.empty((len(table), width), dtype=np.uint8)
     for b in blocks:
-        zero = rows @ columns[b].astype(np.float32, copy=False).T == 0
+        keys[b] = np.packbits(table[b][:, T], axis=1)
+    rows = keys.view(np.dtype((np.void, keys.shape[1])))[:, 0]
+    return np.sort(np.unique(rows, return_index=True)[1])
+
+
+def _patterns(table: np.ndarray, shifts: np.ndarray, T: np.ndarray, blocks: list[slice]):
+    """(b, table[shifts[b]][:, T]) for each row block b of shifts, made one
+    block at a time."""
+    return ((b, table[shifts[b]][:, T]) for b in blocks if b.start < shifts.size)
+
+
+def _first_zero(rows: np.ndarray, columns) -> tuple[int, int] | None:
+    """First zero of rows @ columns.T in row-major order, as (row, column),
+    with the bool columns given as (b, block) pairs."""
+    rows = rows.astype(np.float32)
+    hit = None
+    for b, block in columns:
+        zero = rows @ block.astype(np.float32).T == 0
         if zero.any():
             r = int(zero.any(axis=1).argmax())
             found = (r, b.start + int(zero[r].argmax()))
@@ -145,12 +161,16 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     The success predicate only references i's group and j, and is
     invariant under a common shift of all offsets, so tau_i is pinned to 0
     and the rest sweep Z_L.  A pair needing more combinations than budget
-    is UNKNOWN, decided before any mask is made.  All colliders but the
-    last are enumerated; for each of their combinations, the slots left
-    free at every offset of the last collider, times the receiver's shift
-    table, count the deliveries at every (tau_last, tau_j) in one matmul.
-    The first zero in row-major order is the witness: the first failure in
-    itertools.product order over (colliders, receiver).
+    is UNKNOWN, decided before any mask is made.  The pair can only
+    succeed in i's transmit slots T, so each node's offset matters only
+    through its shift table's row read on T, and only the offset where
+    each distinct row first occurs is swept.  All colliders but the last
+    are enumerated; for each of their combinations, the slots left free by
+    every distinct row of the last collider, times the receiver's distinct
+    rows, count the deliveries in one matmul.  The first zero in row-major
+    order is the witness: as rows are numbered in order of first
+    occurrence, it is the first failure in itertools.product order over
+    the offsets of (colliders, receiver).
     """
     L, seqs = sset.L, sset.sequences
     m = seqs[i - 1].owner_group
@@ -159,19 +179,27 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     if i != j and L ** swept > budget:
         return VerificationReport(Verdict.UNKNOWN, Method.EXHAUSTIVE, pairs_checked=1)
     ti, rj, colliders, tx = _pair_masks(sset, i, j)
+    T = np.flatnonzero(ti)
     blocks = _axis_blocks(L)
-    receive = _operand(_shift_table(rj), blocks)
+    receive = _shift_table(rj)
+    heard = _distinct_shifts(receive, T, blocks)
     tables = [_shift_table(t) for t in tx]
-    for combo in itertools.product(range(L), repeat=max(0, len(tables) - 1)):
-        free = ti.copy()
+    shifts = [_distinct_shifts(table, T, blocks) for table in tables]
+    for combo in itertools.product(*(s.tolist() for s in shifts[:-1])):
+        free = np.ones(T.size, dtype=bool)
         for table, tau in zip(tables, combo):
-            free &= ~table[tau]
-        for rows in blocks if tables else [slice(0, 1)]:
-            block = free & ~tables[-1][rows] if tables else free[None, :]
-            hit = _first_zero(block.astype(np.float32), receive, blocks)
+            free &= ~table[tau, T]
+        if tables:
+            last = _patterns(tables[-1], shifts[-1], T, blocks)
+        else:
+            last = [(slice(0, 1), np.zeros((1, T.size), dtype=bool))]
+        for rows, block in last:
+            hit = _first_zero(free & ~block, _patterns(receive, heard, T, blocks))
             if hit is not None:
-                offsets = {i: 0, j: hit[1]}
-                offsets.update(zip(colliders, combo + (rows.start + hit[0],)))
+                offsets = {i: 0, j: int(heard[hit[1]])}
+                if tables:
+                    combo += (int(shifts[-1][rows.start + hit[0]]),)
+                offsets.update(zip(colliders, combo))
                 return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.EXHAUSTIVE,
                                           pairs_checked=1,
                                           witness=Witness(i, j, offsets))
@@ -187,21 +215,23 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     pair; otherwise the answer is UNKNOWN (never a refutation, since the
     colliders cannot in general realize all maxima simultaneously).  A
     collider's worst case at a block of receiver offsets is the row
-    maximum of the match rows times its shift table.
+    maximum of the match rows times its shift table, both read only on
+    i's transmit slots T, where every match lies.
     """
     ti, rj, _, tx = _pair_masks(sset, i, j)
+    T = np.flatnonzero(ti)
     blocks = _axis_blocks(sset.L)
     receive = _shift_table(rj)
-    colliders = [_operand(_shift_table(t), blocks) for t in tx]
+    colliders = [_shift_table(t) for t in tx]
     for rows in blocks:
-        match = ti & receive[rows]
+        match = receive[rows][:, T]
         slack = np.count_nonzero(match, axis=1)
         match = match.astype(np.float32)
-        for shifts in colliders:
+        for table in colliders:
             if (slack < 1).any():
                 break
             worst = np.maximum.reduce(
-                [(match @ shifts[b].astype(np.float32, copy=False).T).max(axis=1) for b in blocks])
+                [(match @ table[b][:, T].astype(np.float32).T).max(axis=1) for b in blocks])
             slack = slack - worst.astype(np.int64)
         if (slack < 1).any():
             return VerificationReport(Verdict.UNKNOWN, Method.CONSERVATIVE, pairs_checked=1)

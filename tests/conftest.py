@@ -58,6 +58,21 @@ def pair_ok_for_offsets(sset: ScheduleSequenceSet, i: int, j: int,
     return any(pair_succeeds_at(sset, i, j, offsets, t) for t in range(sset.L))
 
 
+def first_failing_offsets(sset: ScheduleSequenceSet, i: int, j: int) -> dict[int, int] | None:
+    """The first offsets, in itertools.product order over the raw offsets of
+    (colliders in node order, j) with tau_i = 0, under which i never
+    reaches j; None when there are none."""
+    from itertools import product
+    division = sset.division
+    colliders = [x for x in division.members(division.group_of(i)) if x not in (i, j)]
+    nodes = colliders + [j]
+    for combo in product(range(sset.L), repeat=len(nodes)):
+        offsets = {i: 0, **dict(zip(nodes, combo))}
+        if not pair_ok_for_offsets(sset, i, j, offsets):
+            return offsets
+    return None
+
+
 def brute_force_pair_check(sset: ScheduleSequenceSet, i: int, j: int) -> bool:
     """Quantify over the FULL K-node offset space, slot by slot."""
     L, K = sset.L, sset.K

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import platform
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +202,16 @@ class _CodecCases(_SchemaDocs):
         with pytest.raises(SequenceSetFormatError, match="K entries"):
             set_from_doc(doc)
 
+    @pytest.mark.parametrize("M,W", [(-5, 2), (5, 2), (3, 3), (2, 1), (1, 2)],
+                             ids=["M=-5", "M=K+1", "W=3 on W=2", "W=1 on W=2", "M<W"])
+    def test_rejects_header_channel_counts(self, M, W):
+        # Without params only the header carries M and W: W must be the
+        # largest division entry and W <= M <= K.
+        doc = self.doc(ScheduleSequenceSet(build_schedule_set(4, 2, W=2).sequences))
+        doc["M"], doc["W"] = M, W
+        with pytest.raises(SequenceSetFormatError, match="header"):
+            set_from_doc(doc)
+
     def test_rejects_rows_of_the_other_version(self, three_node_set):
         doc = self.doc(three_node_set)
         other = "1" if self.schema == "2" else "2"
@@ -245,6 +260,19 @@ class TestSetFileBytes:
         assert set_to_doc(sset) == token_doc(sset)
         again = load_set(str(path))
         assert again == sset and again.params == sset.params
+
+    def test_every_written_file_loads(self, tmp_path, three_node_set, two_node_set):
+        rng = np.random.default_rng(5)
+        sets = [three_node_set, two_node_set,
+                *(build_schedule_set(K, M, W=W) for K, M, W in
+                  [(2, 1, None), (4, 2, 2), (6, 3, 2), (10, 4, 1), (9, 3, 3), (18, 3, None)]),
+                *(random_set(rng, K, W, L) for K, W, L in [(2, 1, 1), (5, 3, 17), (14, 11, 40)]),
+                ScheduleSequenceSet(build_schedule_set(6, 3, W=2).sequences)]
+        for n, sset in enumerate(sets):
+            path = tmp_path / f"{n}.json"
+            save_set(sset, str(path))
+            again = load_set(str(path))
+            assert again == sset and again.params == sset.params, n
 
     def test_handmade_set_without_params(self, three_node_set, tmp_path):
         path = tmp_path / "ref.json"
@@ -377,6 +405,32 @@ class TestVerify(_VerifyFileCases):
                                "--mode", "conservative", "--threads", "1")
         assert code == 0
         assert last_json(out)["verdict"] == "proven_conservative"
+
+
+def page_faults(argv: list[str], keep: bool) -> int:
+    """Minor page faults of a fresh interpreter running the CLI once, with
+    or without the malloc settings of cli.main."""
+    code = ("import sys\nfrom schedseq import cli\n"
+            "if sys.argv[1] == 'off':\n    cli._keep_freed_heap = lambda: False\n"
+            "cli.main(sys.argv[2:])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-c", code, "on" if keep else "off", *argv], env=env,
+                   check=False, stdout=subprocess.DEVNULL)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the C library is not glibc")
+def test_kernel_batches_do_not_fault_the_heap_back_in(tmp_path):
+    # Without the settings, every batch of a randomized verify gives its
+    # arrays back to the OS and faults them in again: 1100 samples at K=18
+    # took about 23000 faults against 5800 with them, nearly all of those
+    # at start-up.
+    path = str(tmp_path / "k18.json")
+    save_set(build_schedule_set(18, 3, W=3), path)
+    argv = ["verify", "--in", path, "--mode", "randomized", "--samples", "1100",
+            "--threads", "1"]
+    assert 2 * page_faults(argv, keep=True) < page_faults(argv, keep=False)
 
 
 class TestVerifyV1(_VerifyFileCases):

@@ -31,6 +31,7 @@ from schedseq.verifier import (
 from conftest import (
     brute_force_pair_check,
     conservative_slack,
+    first_failing_offsets,
     pair_ok_for_offsets,
     seq_from_str,
 )
@@ -266,6 +267,113 @@ class TestWholeAxisChecks:
         assert reports([(1, 2)]) == whole[::20]
 
 
+def slot_set(L: int, nodes) -> ScheduleSequenceSet:
+    """A hand-made set: nodes lists (owner group, default code, {slot: code})."""
+    seqs = []
+    for group, default, slots in nodes:
+        codes = np.full(L, default, dtype=np.int16)
+        codes[list(slots)] = list(slots.values())
+        seqs.append(ScheduleSequence(codes, group))
+    return ScheduleSequenceSet(tuple(seqs))
+
+
+class TestWitnessOrder:
+    """The exhaustive check sweeps only the offsets where a distinct row
+    of a shift table, read on i's transmit slots, first occurs; its
+    witness must still be the first failure of the plain offset loop."""
+
+    def assert_oracle_witnesses(self, sset) -> int:
+        refuted = 0
+        for i, j in ordered_pairs(sset.K):
+            want = first_failing_offsets(sset, i, j)
+            rep = check_pair_exhaustive(sset, i, j)
+            if want is None:
+                assert rep.verdict is Verdict.PROVEN, (i, j)
+            else:
+                refuted += 1
+                assert rep.verdict is Verdict.FAILED_WITH_WITNESS, (i, j)
+                assert rep.witness.offsets == want, (i, j)
+        return refuted
+
+    @pytest.mark.parametrize("spec", ["three_node_set", (3, 2, 2), (3, 3, 3)])
+    def test_small_sets_and_mutations(self, request, spec):
+        base = named_set(request, spec)
+        assert self.assert_oracle_witnesses(base) == 0
+        for sset in one_slot_mutations(base, 2, sum(map(ord, str(spec)))):
+            self.assert_oracle_witnesses(sset)
+
+    @pytest.mark.parametrize("K,W,L", [(3, 2, 9), (4, 2, 8), (4, 2, 12), (5, 2, 7), (4, 1, 6)])
+    def test_random_sets(self, K, W, L):
+        rng = np.random.default_rng(K * 100 + W * 10 + L)
+        refuted = 0
+        for _ in range(4):
+            groups = rng.permutation([(x % W) + 1 for x in range(K)])
+            codes = [np.where(rng.random(L) < 0.35, g, -rng.integers(1, W + 1, size=L))
+                     for g in groups]
+            refuted += self.assert_oracle_witnesses(with_codes(
+                ScheduleSequenceSet(tuple(ScheduleSequence(c.astype(np.int16), int(g))
+                                          for c, g in zip(codes, groups))), codes))
+        assert refuted > 0
+
+    def test_raw_offsets_past_the_key_budget(self, monkeypatch, three_node_set):
+        # Keys that would not fit kernel.BATCH_BYTES are not built: every
+        # offset is swept, one row a block, and the reports stay the same.
+        sets = []
+        for base in (three_node_set, build_schedule_set(3, 2, W=2)):
+            sets += [base, *one_slot_mutations(base, 3, seed=base.L)]
+        pairs = [(s, i, j) for s in sets for i, j in ordered_pairs(s.K)]
+        want = [check_pair_exhaustive(*pair) for pair in pairs]
+        assert any(rep.verdict is Verdict.FAILED_WITH_WITNESS for rep in want)
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
+        ti, rj, _, _ = verifier._pair_masks(sets[0], 1, 3)
+        T, L = np.flatnonzero(ti), sets[0].L
+        table = verifier._shift_table(rj)
+        assert verifier._distinct_shifts(table, T, verifier._axis_blocks(L)).tolist() == \
+            list(range(L))
+        assert [check_pair_exhaustive(*pair) for pair in pairs] == want
+
+    def test_transmitter_without_a_slot(self, three_node_set):
+        # node 1 never sends on channel 1 (w = 0): every pair from it fails
+        # at the all-zero offsets, and the conservative check cannot prove it
+        codes = three_node_set.codes_matrix().copy()
+        codes[0][:] = -1
+        sset = with_codes(three_node_set, codes)
+        for j in (2, 3):
+            rep = check_pair_exhaustive(sset, 1, j)
+            assert rep.witness.offsets == first_failing_offsets(sset, 1, j)
+            assert set(rep.witness.offsets.values()) == {0}
+            assert check_pair_conservative(sset, 1, j).verdict is Verdict.UNKNOWN
+
+    def test_wide_transmit_patterns(self):
+        # w = 67 > 64, not a multiple of 8, and no collider.  Node 2 hears
+        # only in slot 66, which meets node 1's last transmit slot at
+        # tau_2 = 0: that row differs from the empty row only in its 67th
+        # bit, and the empty row first occurs at tau_2 = 67.
+        sset = slot_set(100, [(1, -1, dict.fromkeys(range(67), 1)), (1, 1, {66: -1})])
+        rep = check_pair_exhaustive(sset, 1, 2)
+        assert rep.witness.offsets == first_failing_offsets(sset, 1, 2) == {1: 0, 2: 67}
+        assert success_slots(sset, 1, 2, {1: 0, 2: 66}) == [0]
+
+    def test_failing_patterns_that_first_occur_late(self):
+        # Node 1 sends in slots 0 and 5 only, and node 4 always listens to
+        # it.  Neither collider covers both slots alone: collider 2 covers
+        # slot 5 first at tau_2 = 24 and collider 3 covers slot 0 only at
+        # tau_3 = 21, so together they first fail there.
+        L = 48
+        sset = slot_set(L, [(1, -2, {0: 1, 5: 1}), (1, -2, {29: 1, 43: 1}),
+                            (1, -2, {21: 1}), (2, -1, {})])
+        want = first_failing_offsets(sset, 1, 4)
+        assert want == {1: 0, 2: 24, 3: 21, 4: 0}
+        assert check_pair_exhaustive(sset, 1, 4).witness.offsets == want
+        # Collider 3 alone covers both slots only from tau_3 = 37, after
+        # rows covering one slot first occur at 16 and 21.
+        quiet = slot_set(L, [(1, -2, {0: 1, 5: 1}), (1, -2, {}),
+                             (1, -2, {21: 1, 37: 1, 42: 1}), (2, -1, {})])
+        want = first_failing_offsets(quiet, 1, 4)
+        assert want == {1: 0, 2: 0, 3: 37, 4: 0}
+        assert check_pair_exhaustive(quiet, 1, 4).witness.offsets == want
+
+
 class TestBoundedMemory:
     # Peak of a pair check that decides in its first block: the (rows, L)
     # bool and float32 blocks of both operands fit three budgets, plus 1 MB
@@ -390,6 +498,17 @@ class TestVerifySet:
             assert (rep.witness.transmitter, rep.witness.receiver, rep.pairs_checked) == (2, 4, 7)
             clean = verify_set(sset, budget=20000, threads=threads)
             assert (clean.verdict, clean.pairs_checked) == (Verdict.UNKNOWN, 20)
+
+    @pytest.mark.parametrize("K", [6, 7, 8, 9])
+    def test_three_channel_sets_are_proven_exhaustively(self, K):
+        sset = build_schedule_set(K, 3, W=3)
+        rep = verify_set(sset, mode="exhaustive")
+        assert (rep.verdict, rep.pairs_checked) == (Verdict.PROVEN, K * (K - 1))
+        # a conservative proof of a pair implies the exhaustive one
+        for i, j in ordered_pairs(K):
+            if check_pair_conservative(sset, i, j).verdict is Verdict.PROVEN_CONSERVATIVE:
+                assert check_pair_exhaustive(sset, i, j).verdict is Verdict.PROVEN, (i, j)
+        assert verify_set(sset, mode="conservative").verdict is Verdict.PROVEN_CONSERVATIVE
 
     def test_unknown_mode_rejected(self, three_node_set):
         with pytest.raises(ValueError):
