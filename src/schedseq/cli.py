@@ -109,13 +109,52 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
     return doc
 
 
+@functools.cache
+def _one_digit_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-indexed int16 tables for one-digit rows: the sign of a kind
+    byte (T +1, R -1) and the channel of a digit byte '1'..str(top);
+    every other byte maps to 0."""
+    sign = np.zeros(256, dtype=np.int16)
+    sign[[_T, _R]] = 1, -1
+    channel = np.zeros(256, dtype=np.int16)
+    channel[_ZERO + 1:_ZERO + 1 + top] = np.arange(1, top + 1)
+    sign.setflags(write=False)
+    channel.setflags(write=False)
+    return sign, channel
+
+
+def _parse_one_digit(buf: np.ndarray, L: int, W: int) -> np.ndarray | None:
+    """int16 codes of a row of 3L - 1 bytes read as L tokens of one digit,
+    or None when some token is not T<d>/R<d> with d in 1..W followed by a
+    space (the row's last token by its end)."""
+    padded = np.empty(3 * L, dtype=np.uint8)
+    padded[:-1] = buf
+    padded[-1] = _SPACE
+    rows = padded.reshape(L, 3)
+    sign, channel = _one_digit_tables(min(max(W, 0), 9))
+    codes = np.take(sign, rows[:, 0])
+    codes *= np.take(channel, rows[:, 1])
+    if not codes.all() or (rows[:, 2] != _SPACE).any():
+        return None
+    return codes
+
+
 def _parse_tokens(text: str, L: int, W: int) -> np.ndarray:
     """int16 codes of one row of exactly L space-separated tokens T<m>/R<r>,
-    every channel in 1..W; raises ValueError naming the first bad token."""
+    every channel in 1..W; raises ValueError naming the first bad token.
+
+    A row of 3L - 1 bytes is first read as an (L, 3) table of one-digit
+    tokens; any row that is not one (wider channels, leading zeros, bad
+    tokens) goes through the general digit loop below, which alone raises.
+    """
     try:
         buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError as exc:
         raise ValueError(f"non-ASCII character {text[exc.start]!r}") from None
+    if buf.size == 3 * L - 1:
+        codes = _parse_one_digit(buf, L, W)
+        if codes is not None:
+            return codes
     spaces = np.flatnonzero(buf == _SPACE)
     if spaces.size + 1 != L:
         raise ValueError(f"{spaces.size + 1} slots, expected {L}")
@@ -429,8 +468,45 @@ def _keep_freed_heap() -> bool:
     return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
+# The thread setter of the OpenBLAS that numpy >= 2 wheels bundle, in its
+# 64-bit-integer and 32-bit-integer builds.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    The verifier's products are small, and OpenBLAS's idle threads spin
+    between them: by default they add CPU time at the same wall time, in
+    the parent and in every worker process forked from it.  numpy wheels
+    keep the library in numpy.libs (Linux, Windows) or numpy/.dylibs
+    (macOS).  Returns whether a setter was found and called; with another
+    BLAS, or a numpy built against the system's, nothing changes.
+    """
+    import glob  # only main calls this: importing the CLI module stays lean
+
+    np_dir = os.path.dirname(np.__file__)
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(np_dir), "numpy.libs", "*openblas*"))
+                   + glob.glob(os.path.join(np_dir, ".dylibs", "*openblas*")))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return True
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

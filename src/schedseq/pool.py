@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable
 
 
@@ -14,6 +13,10 @@ def map_in_workers(fn: Callable[..., Any], tasks: list[tuple], threads: int) -> 
     """
     if threads <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
+    # Imported here: concurrent.futures.process pulls in multiprocessing,
+    # a large share of start-up for the commands that never use it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]

@@ -10,6 +10,7 @@ and reports that broadcast completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -97,13 +98,20 @@ class _DrawnScheme:
 class AssignTRandomScheme(_DrawnScheme):
     params: AssignTRandomParams
 
+    @cached_property
+    def _own(self) -> np.ndarray:
+        """(K, 1) column of each node's own channel, built once per scheme."""
+        own = np.array(GroupDivision.even(self.params.K, self.params.W).assignment)[:, None]
+        own.setflags(write=False)
+        return own
+
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Symbol codes of uniform draws u (K x T): transmit on the node's
         own channel for p_b, then receive on it for q_1, then on the other
         channels in ascending order for q_2 each."""
         params = self.params
         W = params.W
-        own = np.array(GroupDivision.even(params.K, W).assignment)[:, None]
+        own = self._own
         codes = np.where(u < params.p_b, own, -own)
         if W > 1:
             tail = u - params.p_b - params.q_1

@@ -11,6 +11,7 @@ import pytest
 
 from schedseq.cli import (
     SequenceSetFormatError,
+    _parse_one_digit,
     load_set,
     main,
     save_set,
@@ -112,12 +113,68 @@ class _CodecCases(_SchemaDocs):
     def test_reader_matches_symbol_oracle(self):
         # every token parsed one at a time by Symbol.from_str gives the codes
         rng = np.random.default_rng(11)
-        for K, W, L in ((2, 1, 1), (5, 3, 17), (14, 11, 40), (30, 4, 64)):
-            doc = self.doc(random_set(rng, K, W, L))
+        sets = [random_set(rng, K, W, L) for K, W, L in
+                ((2, 1, 1), (9, 9, 1), (5, 3, 17), (12, 9, 50), (14, 11, 40), (30, 4, 64))]
+        # W=10: one row of a group below 10 keeps to channels 1..9, so it
+        # alone is one digit wide
+        wide = list(random_set(rng, 12, 10, 30).sequences)
+        n = next(i for i, seq in enumerate(wide) if seq.owner_group < 10)
+        wide[n] = ScheduleSequence(np.maximum(wide[n].codes, -9), wide[n].owner_group)
+        sets.append(ScheduleSequenceSet(tuple(wide)))
+        for sset in sets:
+            doc = self.doc(sset)
             loaded = set_from_doc(doc)
             for i, seq in enumerate(loaded.sequences):
                 want = [Symbol.from_str(tok).code for tok in self.tokens(doc, i)]
                 assert seq.codes.tolist() == want
+        # the edges the cases above must reach: whole rows of one token,
+        # T9 and R9, and one-digit rows beside wider ones in one set
+        one_slot, nine = self.doc(sets[1]), self.doc(sets[3])
+        assert {len(self.tokens(one_slot, i)) for i in range(9)} == {1}
+        assert {"T9", "R9"} <= {tok for i in range(12) for tok in self.tokens(nine, i)}
+        widths = [{len(tok) for tok in self.tokens(self.doc(sets[-1]), i)} for i in range(12)]
+        assert widths.pop(n) == {2} and all(3 in w for w in widths)
+
+    def test_leading_zero_tokens_read_as_the_plain_channel(self, three_node_set):
+        doc = self.doc(three_node_set)
+        self.set_row(doc, 0, [tok[0] + "0" + tok[1:] for tok in self.tokens(doc, 0)])
+        self.set_row(doc, 1, [tok[0] + "00" + tok[1:] for tok in self.tokens(doc, 1)])
+        assert self.tokens(doc, 0)[:2] == ["T01", "T01"] and self.tokens(doc, 1)[1] == "R001"
+        assert set_from_doc(doc) == three_node_set
+
+    @pytest.mark.parametrize("token,message", [
+        ("R0", "slot {t}: channel 0 outside 1..W=3"),
+        ("r1", "bad symbol 'r1' in slot {t}, expected T<m> or R<r>"),
+        ("R9", "slot {t}: channel 9 outside 1..W=3"),
+    ])
+    @pytest.mark.parametrize("t", [0, 9])
+    def test_one_digit_row_with_a_bad_end_token(self, token, message, t):
+        # the row keeps its one-digit length, so only its first or last
+        # token tells it from a good one; the message names that slot
+        doc = self.doc(random_set(np.random.default_rng(3), 4, 3, 10))
+        self.put(doc, 1, t, token)
+        with pytest.raises(SequenceSetFormatError) as err:
+            set_from_doc(doc)
+        assert str(err.value) == "sequence 2: " + message.format(t=t)
+
+    @pytest.mark.parametrize("W", [0, -60])
+    def test_division_below_one_leaves_every_channel_out_of_range(self, three_node_set, W):
+        # the header checks pass (W = the largest entry <= M <= K), so the
+        # rows are read against W < 1
+        doc = self.doc(three_node_set)
+        doc.update(M=1, W=W, division=[W] * 3)
+        with pytest.raises(SequenceSetFormatError) as err:
+            set_from_doc(doc)
+        assert str(err.value) == f"sequence 1: slot 0: channel 1 outside 1..W={W}"
+
+    @pytest.mark.parametrize("W", [3, 12])
+    def test_loaded_codes_are_read_only_int16(self, W):
+        loaded = set_from_doc(self.doc(random_set(np.random.default_rng(W), W + 2, W, 2 * W)))
+        for seq in loaded.sequences:
+            assert seq.codes.dtype == np.int16
+            assert not seq.codes.flags.writeable
+            with pytest.raises(ValueError):
+                seq.codes[0] = 1
 
     def test_rejects_channel_beyond_W(self, three_node_set):
         doc = self.doc(three_node_set)
@@ -221,6 +278,19 @@ class _CodecCases(_SchemaDocs):
 
 
 class TestSerialization(_CodecCases):
+    def test_table_path_takes_one_digit_rows_only(self):
+        # the other rows fall through to the digit loop, which the codec
+        # tests above check for codes and messages
+        def read(text, L, W):
+            return _parse_one_digit(np.frombuffer(text.encode("ascii"), dtype=np.uint8), L, W)
+
+        assert read("T1", 1, 1).tolist() == [1]
+        assert read("T9 R1 R9", 3, 9).tolist() == [9, -1, -9]
+        assert read("T2 R1 R9", 3, 12).tolist() == [2, -1, -9]
+        for text in ("R0 T1 R2", "T1 R2 r1", "T1 R2 R4", "T1 R1\tR2", "T1 R1  R", "T10 R1 R",
+                     "T1 R2 R\x00"):
+            assert read(text, 3, 3) is None, text
+
     def test_doc_symbols_are_strings(self, three_node_set):
         doc = set_to_doc(build_schedule_set(3, 1))
         assert doc["schema_version"] == "2"
@@ -431,6 +501,28 @@ def test_kernel_batches_do_not_fault_the_heap_back_in(tmp_path):
     argv = ["verify", "--in", path, "--mode", "randomized", "--samples", "1100",
             "--threads", "1"]
     assert 2 * page_faults(argv, keep=True) < page_faults(argv, keep=False)
+
+
+def bundled_blas_threads(run_main: bool) -> str:
+    """Threads numpy's bundled OpenBLAS reports in a fresh interpreter
+    started with two, after one CLI command or none; "none" without it."""
+    code = ("import ctypes, glob, os, sys\nimport numpy as np\nfrom schedseq import cli\n"
+            "if sys.argv[1] == 'on':\n    cli.main(['bound', '--K', '6', '--M', '2'])\n"
+            "libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),\n"
+            "                              'numpy.libs', '*openblas*'))\n"
+            "get = libs and getattr(ctypes.CDLL(libs[0]), 'scipy_openblas_get_num_threads64_', None)\n"
+            "print(get() if get else 'none')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", code, "on" if run_main else "off"], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return out.split()[-1]
+
+
+def test_main_runs_bundled_blas_on_one_thread():
+    before = bundled_blas_threads(run_main=False)
+    if before == "none":
+        pytest.skip("numpy has no bundled OpenBLAS")
+    assert (before, bundled_blas_threads(run_main=True)) == ("2", "1")
 
 
 class TestVerifyV1(_VerifyFileCases):
