@@ -234,7 +234,6 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
         try:
             params = ConstructionParams(
                 K=K, M=M, W=W, division=GroupDivision(tuple(division)),
-                ell=GroupDivision(tuple(division)).ell,
                 w=_json_int(p["w"], "w"), p=_json_int(p["p"], "p"), q=_json_int(p["q"], "q"),
                 Lprime=_json_int(p["Lprime"], "Lprime"), L=L,
                 deltas=tuple(_json_int(d, "delta") for d in p["deltas"]),

@@ -105,7 +105,6 @@ class ConstructionParams:
     M: int
     W: int
     division: GroupDivision
-    ell: int                 # largest group size
     w: int                   # UI weight: ell + 1 (multi-channel) or K (W = 1)
     p: int
     q: int
@@ -130,6 +129,11 @@ class ConstructionParams:
                     raise ValueError(f"delta_{m} has wrong CRT image")
         elif self.L != self.Lprime:
             raise ValueError("single-channel construction has L = p*q")
+
+    @property
+    def ell(self) -> int:
+        """Largest group size."""
+        return self.division.ell
 
     @property
     def ui_params(self) -> CrtUiParams:
@@ -158,8 +162,8 @@ def select_params(K: int, M: int, W: int,
         q = 2 * w - 1
         while math.gcd(q, p) != 1:
             q += 1
-        return ConstructionParams(K=K, M=M, W=1, division=division, ell=division.ell,
-                                  w=w, p=p, q=q, Lprime=p * q, L=p * q, deltas=(0,))
+        return ConstructionParams(K=K, M=M, W=1, division=division, w=w,
+                                  p=p, q=q, Lprime=p * q, L=p * q, deltas=(0,))
 
     ell = division.ell
     w = ell + 1
@@ -173,7 +177,7 @@ def select_params(K: int, M: int, W: int,
     # g <= p - 1; ell <= w - 1 <= p - 1 guarantees it.
     assert ell <= p - 1
     deltas = tuple(crt_inverse(((m - 1) % p, 0), p, q) for m in range(1, W + 1))
-    return ConstructionParams(K=K, M=M, W=W, division=division, ell=ell, w=w,
+    return ConstructionParams(K=K, M=M, W=W, division=division, w=w,
                               p=p, q=q, Lprime=p * q, L=2 * W * p * q, deltas=deltas)
 
 

@@ -10,14 +10,14 @@ and reports that broadcast completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Protocol
 
 import numpy as np
 
 from . import kernel
 from .constructor import ScheduleSequenceSet
-from .pool import map_in_workers
+from .pool import map_ranges
 from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_length
 from .seqcore import GroupDivision, OffsetVector
 
@@ -31,7 +31,10 @@ class Scheme(Protocol):
     @property
     def W(self) -> int: ...
 
-    def default_max_slots(self) -> int: ...
+    def max_slots(self, requested: int | None) -> int:
+        """The campaign's slot cap: requested, or the scheme's default
+        when None; ValueError for a cap the scheme cannot use."""
+        ...
 
     def action_source(self, rngs: list[np.random.Generator],
                       offset_mode: str | OffsetVector) -> kernel.Actions:
@@ -52,8 +55,12 @@ class SequenceScheme:
     def W(self) -> int:
         return self.sset.W
 
-    def default_max_slots(self) -> int:
-        return 20 * self.sset.L
+    def max_slots(self, requested: int | None) -> int:
+        if requested is None:
+            return 20 * self.sset.L
+        if requested < self.sset.L:
+            raise ValueError("max_slots below one period cannot certify completion")
+        return requested
 
     def action_source(self, rngs, offset_mode):
         K, L = self.K, self.sset.L
@@ -80,8 +87,8 @@ class _DrawnScheme:
     def W(self) -> int:
         return self.params.W
 
-    def default_max_slots(self) -> int:
-        return 20 * frame_length(self.K)
+    def max_slots(self, requested: int | None) -> int:
+        return 20 * frame_length(self.K) if requested is None else requested
 
     def action_source(self, rngs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
@@ -169,7 +176,7 @@ class SimConfig:
         return self.scheme.W
 
     def resolved_max_slots(self) -> int:
-        return self.scheme.default_max_slots() if self.max_slots is None else self.max_slots
+        return self.scheme.max_slots(self.max_slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,12 +231,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     seed, so results do not depend on execution order or on threads.
     """
     max_slots = config.resolved_max_slots()
-    if isinstance(config.scheme, SequenceScheme) and max_slots < config.scheme.sset.L:
-        raise ValueError("max_slots below one period cannot certify completion")
-    n = max(1, min(threads, config.runs))
-    edges = np.linspace(0, config.runs, n + 1, dtype=int)
-    parts = map_in_workers(_run_range, [(config, max_slots, int(a), int(b))
-                                        for a, b in zip(edges[:-1], edges[1:])], threads)
+    parts = map_ranges(partial(_run_range, config, max_slots), config.runs, threads)
     times = np.concatenate([p[0] for p in parts])
     censored = np.concatenate([p[1] for p in parts])
     per_pair = (np.stack([t for p in parts for t in p[2]])

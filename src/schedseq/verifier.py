@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .constructor import ScheduleSequenceSet, m_prime, select_params
-from .pool import map_in_workers
+from .pool import map_ranges
 from .seqcore import BinarySequence, correlation_profile
 
 
@@ -238,17 +238,16 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     return VerificationReport(Verdict.PROVEN_CONSERVATIVE, Method.CONSERVATIVE, pairs_checked=1)
 
 
-def _ordered_pairs(K: int):
-    return ((i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j)
-
-
-def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int, int]],
-                      method: Method, budget: int):
-    """Check (index, i, j) pairs in order up to the first decisive one.
+def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
+                 first: int, stop: int):
+    """Check ordered pairs [first, stop) up to the first decisive one.
+    Pairs are numbered in row-major (transmitter, receiver) order without
+    the diagonal, so pair n has transmitter n // (K-1) + 1.
 
     A failed pair decides either method; an UNKNOWN pair decides the
     conservative method, which never refutes.  Returns the decisive pair's
-    (index, report) or None, and whether an UNKNOWN pair came before it.
+    (n, verdict, witness) or None, and whether an UNKNOWN pair came
+    before it.
     """
     if method is Method.EXHAUSTIVE:
         check = functools.partial(check_pair_exhaustive, budget=budget)
@@ -256,10 +255,11 @@ def _check_pair_batch(sset: ScheduleSequenceSet, pairs: list[tuple[int, int, int
     else:
         check, decisive = check_pair_conservative, Verdict.UNKNOWN
     unknown = False
-    for index, i, j in pairs:
-        report = check(sset, i, j)
+    for n in range(first, stop):
+        i, r = divmod(n, sset.K - 1)
+        report = check(sset, i + 1, r + 1 + (r >= i))
         if report.verdict is decisive:
-            return (index, report), unknown
+            return (n, report.verdict, report.witness), unknown
         unknown |= report.verdict is Verdict.UNKNOWN
     return None, unknown
 
@@ -271,34 +271,38 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
 
     mode is one of "exhaustive", "conservative" or "randomized";
     randomized search samples whole offset vectors and can only refute or
-    answer UNKNOWN.  The exhaustive and conservative checks stop at the
-    first decisive pair in pair order (see _check_pair_batch), and
-    pairs_checked counts the pairs up to it.  threads > 1 spreads pairs,
-    or offset draws, over worker processes; the report does not depend on
-    threads.
+    answer UNKNOWN.  Every mode stops at its first decisive item (a pair,
+    see _check_pairs, or a sample, see _randomized_draws), and
+    pairs_checked counts the pairs up to it.  threads > 1 gives each
+    worker process a contiguous range of pairs, or of offset draws; the
+    report does not depend on threads.
     """
     try:
         method = Method(mode)
     except ValueError:
         raise ValueError(f"unknown mode {mode!r}") from None
+    K = sset.K
     if method is Method.RANDOMIZED:
         if samples < 1:
             raise ValueError("randomized verification needs samples >= 1")
-        return _verify_randomized(sset, samples, seed, threads)
-    pairs = [(index, i, j) for index, (i, j) in enumerate(_ordered_pairs(sset.K))]
-    n = max(1, min(threads, len(pairs)))
-    parts = map_in_workers(_check_pair_batch,
-                           [(sset, pairs[c::n], method, budget) for c in range(n)], threads)
-    # Each worker stops at its own first decisive pair, so the earliest of
-    # those is the first in pair order whatever the thread count.
+        work = functools.partial(_randomized_draws, sset, samples, seed)
+        stop = -(-samples // _DRAW_SAMPLES)
+        items, pairs_per_item = samples, K * (K - 1)
+    else:
+        work = functools.partial(_check_pairs, sset, method, budget)
+        stop = items = K * (K - 1)
+        pairs_per_item = 1
+    parts = map_ranges(work, stop, threads)
+    # Each worker stops at the first decisive item of its range, and the
+    # ranges are in order, so the earliest of those is the first overall.
     decided = [hit for hit, _ in parts if hit is not None]
     if decided:
-        index, report = min(decided, key=lambda hit: hit[0])
-        return VerificationReport(report.verdict, method, index + 1, report.witness)
+        index, verdict, witness = min(decided, key=lambda hit: hit[0])
+        return VerificationReport(verdict, method, (index + 1) * pairs_per_item, witness)
     if any(unknown for _, unknown in parts):
-        return VerificationReport(Verdict.UNKNOWN, method, len(pairs))
+        return VerificationReport(Verdict.UNKNOWN, method, items * pairs_per_item)
     verdict = Verdict.PROVEN if method is Method.EXHAUSTIVE else Verdict.PROVEN_CONSERVATIVE
-    return VerificationReport(verdict, method, len(pairs))
+    return VerificationReport(verdict, method, items * pairs_per_item)
 
 
 # Offset vectors are drawn this many samples at a time, which fixes the
@@ -306,35 +310,18 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
 _DRAW_SAMPLES = 512
 
 
-def _verify_randomized(sset: ScheduleSequenceSet, samples: int, seed: int,
-                       threads: int) -> VerificationReport:
-    """Sample offset vectors uniformly, hunting for a counterexample.
+def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
+                      first: int, stop: int):
+    """Offset draws [first, stop) of a randomized verification, the offset
+    stream replayed from the seed.
 
     Each sampled offset vector is one run of the collision kernel over a
-    period.  The witness is the first unserved (transmitter, receiver)
-    pair, in row-major pair order, of the first failing sample.  threads >
-    1 gives each worker a contiguous range of offset draws.
+    period; a sample that fails refutes the set, and one that does not is
+    UNKNOWN.  The witness is the first unserved (transmitter, receiver)
+    pair, in row-major pair order, of the first failing sample.  Returns
+    that failure as (sample, verdict, witness) or None, and whether an
+    UNKNOWN sample came before it.
     """
-    K = sset.K
-    n_draws = -(-samples // _DRAW_SAMPLES)
-    n = max(1, min(threads, n_draws))
-    edges = [n_draws * c // n for c in range(n + 1)]
-    found = [hit for hit in map_in_workers(
-        _randomized_draws, [(sset, samples, seed, a, b) for a, b in zip(edges[:-1], edges[1:])],
-        threads) if hit is not None]
-    if not found:
-        return VerificationReport(Verdict.UNKNOWN, Method.RANDOMIZED,
-                                  samples * K * (K - 1))
-    sample, witness = min(found, key=lambda hit: hit[0])
-    return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.RANDOMIZED,
-                              (sample + 1) * K * (K - 1), witness)
-
-
-def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
-                      first: int, stop: int) -> tuple[int, Witness] | None:
-    """Offset draws [first, stop) of a randomized verification, the offset
-    stream replayed from the seed.  Returns the first failure as (sample,
-    witness), or None."""
     rng = np.random.default_rng(seed)
     codes = sset.codes_matrix()
     K, L = sset.K, sset.L
@@ -353,8 +340,10 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
                 i, j = (x + 1 for x in divmod(int(bad[b].argmax()), K))
                 relevant = {i, j, *_pair_masks(sset, i, j)[2]}  # i's group and j
                 offsets = {x: int(taus[ids[b], x - 1]) for x in sorted(relevant)}
-                return lo + int(ids[b]), Witness(i, j, offsets)
-    return None
+                sample = lo + int(ids[b])
+                return ((sample, Verdict.FAILED_WITH_WITNESS, Witness(i, j, offsets)),
+                        sample > first * _DRAW_SAMPLES)
+    return None, True
 
 
 # --- blocking algorithm and recursive bound sequences ----------------------

@@ -479,11 +479,19 @@ class TestVerify(_VerifyFileCases):
 
 def page_faults(argv: list[str], keep: bool) -> int:
     """Minor page faults of a fresh interpreter running the CLI once, with
-    or without the malloc settings of cli.main."""
+    or without the malloc settings of cli.main.
+
+    Without them the child runs at glibc's default thresholds, given
+    explicitly: that turns off glibc's dynamic threshold growth, which
+    otherwise hides or shows the trimming depending on the byte lengths
+    of the child's argv and environment."""
     code = ("import sys\nfrom schedseq import cli\n"
             "if sys.argv[1] == 'off':\n    cli._keep_freed_heap = lambda: False\n"
             "cli.main(sys.argv[2:])\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    if not keep:
+        env["GLIBC_TUNABLES"] = ("glibc.malloc.mmap_threshold=131072:"
+                                 "glibc.malloc.trim_threshold=131072")
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     subprocess.run([sys.executable, "-c", code, "on" if keep else "off", *argv], env=env,
                    check=False, stdout=subprocess.DEVNULL)
@@ -516,6 +524,16 @@ def bundled_blas_threads(run_main: bool) -> str:
     out = subprocess.run([sys.executable, "-c", code, "on" if run_main else "off"], env=env,
                          check=True, capture_output=True, text=True).stdout
     return out.split()[-1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The worker pool is imported only when work is split over processes.
+    code = ("import sys\nimport schedseq.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_main_runs_bundled_blas_on_one_thread():

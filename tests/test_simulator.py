@@ -61,6 +61,15 @@ class TestSimulateSequence:
         b = simulate(SimConfig(SequenceScheme(sset), runs=50, seed=3), threads=4)
         assert a == b
 
+    def test_three_uneven_ranges_keep_run_order(self):
+        # 37 runs split 12 + 12 + 13; the per-pair tables too must come
+        # back in run order.
+        config = SimConfig(SequenceScheme(build_schedule_set(4, 2, W=2)), runs=37, seed=8,
+                           record_pairs=True)
+        a, b = simulate(config), simulate(config, threads=3)
+        assert a == b
+        assert np.array_equal(a.per_pair_first_success, b.per_pair_first_success)
+
     def test_guarantee_within_period(self):
         sset = build_schedule_set(4, 2, W=2)
         for mode in ("uniform", "zero"):

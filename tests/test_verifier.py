@@ -499,6 +499,44 @@ class TestVerifySet:
             clean = verify_set(sset, budget=20000, threads=threads)
             assert (clean.verdict, clean.pairs_checked) == (Verdict.UNKNOWN, 20)
 
+    @pytest.mark.parametrize("case, mode, verdict, pairs_checked", [
+        ("proven", "exhaustive", Verdict.PROVEN, 20),
+        ("proven", "conservative", Verdict.PROVEN_CONSERVATIVE, 20),
+        ("proven", "randomized", Verdict.UNKNOWN, 1100 * 20),
+        ("refuted", "exhaustive", Verdict.FAILED_WITH_WITNESS, 14),
+        ("refuted", "conservative", Verdict.UNKNOWN, 14),
+        ("refuted", "randomized", Verdict.FAILED_WITH_WITNESS, 20),
+        ("unknown", "exhaustive", Verdict.UNKNOWN, 20),
+    ])
+    def test_three_workers_give_the_serial_report(self, case, mode, verdict, pairs_checked):
+        # Pairs split as [0, 6), [6, 13) and [13, 20).  In the refuted set
+        # node 2 never listens to its own channel 2, so pair (4, 2), pair 13,
+        # is the first to fail: it lies in the last range.
+        sset = build_schedule_set(5, 2, W=2)
+        if case == "refuted":
+            codes = sset.codes_matrix().copy()
+            codes[1][codes[1] == -2] = -1
+            sset = with_codes(sset, codes)
+        kwargs = {"mode": mode, "samples": 1100, "seed": 1,
+                  "budget": 20000 if case == "unknown" else 10 ** 9}
+        serial = verify_set(sset, **kwargs)
+        assert (serial.verdict, serial.pairs_checked) == (verdict, pairs_checked)
+        assert verify_set(sset, threads=3, **kwargs) == serial
+
+    @pytest.mark.parametrize("seed, sample", [(3, 724), (4, 1677)])
+    def test_three_workers_find_a_failure_in_a_later_draw(self, seed, sample):
+        # Two nodes that each send in one slot of 1500 fail only when their
+        # offsets coincide.  Four draws split as [0], [1] and [2, 3]: the
+        # first failure lies in the second or the third worker's range.
+        row = -np.ones(1500, dtype=np.int16)
+        row[0] = 1
+        sset = ScheduleSequenceSet((ScheduleSequence(row, 1), ScheduleSequence(row, 1)))
+        serial = verify_set(sset, mode="randomized", samples=2048, seed=seed)
+        assert (serial.verdict, serial.pairs_checked) == (
+            Verdict.FAILED_WITH_WITNESS, (sample + 1) * 2)
+        assert verify_set(sset, mode="randomized", samples=2048, seed=seed,
+                          threads=3) == serial
+
     @pytest.mark.parametrize("K", [6, 7, 8, 9])
     def test_three_channel_sets_are_proven_exhaustively(self, K):
         sset = build_schedule_set(K, 3, W=3)
