@@ -276,8 +276,7 @@ def load_set(path: str) -> ScheduleSequenceSet:
 
 def _emit(payload: dict[str, Any]) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -7,10 +7,11 @@ clean transmit slots of the given transmitter rows and the receive slots
 of every node into uint64 words (bit t of word w is slot 64 w + t), ANDs
 each transmitter row against its run's receiver rows, and reads the
 first delivery off the lowest set bit.  `run_batch` feeds it chunk after
-chunk; a transmitter row leaves once all of its receivers are served,
-and a run once all of its rows have.  `run_batches` walks a range of
-runs in batches that fit the byte budget.  The simulator and the
-randomized verifier both go through here.
+chunk and keeps a (runs, K) mask of the transmitters still pending: one
+leaves once all of its receivers are served, and a run once all of its
+transmitters have.  `run_batches` walks a range of runs in batches that
+fit the byte budget.  The simulator and the randomized verifier both go
+through here.
 """
 
 from __future__ import annotations
@@ -95,32 +96,26 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
 
     actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
     runs for slots [t0, t0 + T).  Chunks of CHUNK_SLOTS slots are evaluated
-    in order.  A transmitter row r K + i stays pending while some receiver
-    j != i of run r has no delivery; each chunk evaluates only the pending
-    rows and asks `actions` only for the runs that still own one.
+    in order.  Transmitter i of a run stays pending while some receiver
+    j != i of that run has no delivery; each chunk evaluates only the
+    pending transmitters and asks `actions` only for runs that have one.
     """
-    first = np.full((ids.size * K, K), -1, dtype=np.int64)
-    n = ids.size if K > 1 else 0  # one node has no pair to serve
-    rows = np.arange(n * K)  # pending rows, ascending
-    runs = np.arange(n)  # batch positions of the runs that own them
-    pos, tx = np.divmod(rows, K)  # each row's index into runs, and its node
-    t0 = 0
-    while t0 < max_slots and rows.size:
+    first = np.full((ids.size, K, K), -1, dtype=np.int64)
+    pending = np.full((ids.size, K), K > 1)  # one node has no pair to serve
+    for t0 in range(0, max_slots, CHUNK_SLOTS):
+        runs = np.flatnonzero(pending.any(axis=1))
+        if not runs.size:
+            break
         T = min(CHUNK_SLOTS, max_slots - t0)
+        pos, tx = np.nonzero(pending[runs])
         got = first_delivery(actions(ids[runs], t0, T), W, pos, tx)
-        part = first[rows]
+        r = runs[pos]
+        part = first[r, tx]
         part = np.where((part < 0) & (got >= 0), t0 + got, part)
-        first[rows] = part
+        first[r, tx] = part
         # a node never hears itself, so its own column stays -1
-        keep = np.count_nonzero(part < 0, axis=1) > 1
-        if not keep.all():
-            rows, pos, tx = rows[keep], pos[keep], tx[keep]
-            owned = np.zeros(runs.size, dtype=bool)
-            owned[pos] = True
-            runs = runs[owned]
-            pos = (np.cumsum(owned) - 1)[pos]
-        t0 += T
-    return first.reshape(ids.size, K, K)
+        pending[r, tx] = np.count_nonzero(part < 0, axis=1) > 1
+    return first
 
 
 def run_batches(actions: Actions, runs: int, K: int, W: int,

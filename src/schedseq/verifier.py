@@ -183,22 +183,19 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     blocks = _axis_blocks(L)
     receive = _shift_table(rj)
     heard = _distinct_shifts(receive, T, blocks)
-    tables = [_shift_table(t) for t in tx]
+    # a pair without colliders is checked against one that never transmits,
+    # whose offset zip(colliders, ...) leaves out of the witness
+    tables = [_shift_table(t) for t in tx] or [_shift_table(np.zeros(L, dtype=bool))]
     shifts = [_distinct_shifts(table, T, blocks) for table in tables]
     for combo in itertools.product(*(s.tolist() for s in shifts[:-1])):
         free = np.ones(T.size, dtype=bool)
         for table, tau in zip(tables, combo):
             free &= ~table[tau, T]
-        if tables:
-            last = _patterns(tables[-1], shifts[-1], T, blocks)
-        else:
-            last = [(slice(0, 1), np.zeros((1, T.size), dtype=bool))]
-        for rows, block in last:
+        for rows, block in _patterns(tables[-1], shifts[-1], T, blocks):
             hit = _first_zero(free & ~block, _patterns(receive, heard, T, blocks))
             if hit is not None:
                 offsets = {i: 0, j: int(heard[hit[1]])}
-                if tables:
-                    combo += (int(shifts[-1][rows.start + hit[0]]),)
+                combo += (int(shifts[-1][rows.start + hit[0]]),)
                 offsets.update(zip(colliders, combo))
                 return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.EXHAUSTIVE,
                                           pairs_checked=1,
@@ -443,7 +440,8 @@ def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
     """Constructed period over combined lower bound, rounded to 2 decimals.
 
     Evaluated under even division with W = M; cells with M above the
-    channel-count threshold are skipped.
+    channel-count threshold are skipped, and so are cells whose bound is 0
+    (K = M = 1), as `schedseq bound` leaves out their ratio.
     """
     out: dict[tuple[int, int], float] = {}
     for M in Ms:
@@ -453,7 +451,8 @@ def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
             params = select_params(K, M, M)
             k = params.division.k_min
             bound = lower_bound(M, k, M, K).combined
-            out[(K, M)] = round(params.L / bound, 2)
+            if bound > 0:
+                out[(K, M)] = round(params.L / bound, 2)
     return out
 
 

@@ -19,7 +19,9 @@ from schedseq.cli import (
     set_to_doc,
 )
 from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
+from schedseq.random_schemes import GeneralRandomParams, optimize_random
 from schedseq.seqcore import ScheduleSequence, Symbol
+from schedseq.simulator import GeneralRandomScheme, SimConfig, simulate
 
 
 def run_cli(capsys, *argv):
@@ -630,6 +632,23 @@ class TestSimulate:
                                "--threads", "1", "--out", str(csv_path))
         assert code == 0
         assert last_json(out)["runs"] == 60
+
+    @pytest.mark.parametrize("W", [2, 3])
+    def test_general_random_scheme(self, capsys, tmp_path, W):
+        # the CLI runs the general scheme at its optimal p: the library's
+        # simulate of that scheme gives the same completion times
+        K = 6
+        csv_path = tmp_path / "g.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--random", "--scheme", "general",
+                               "--K", str(K), "--W", str(W), "--runs", "40", "--seed", "3",
+                               "--threads", "1", "--out", str(csv_path))
+        assert code == 0
+        scheme = GeneralRandomScheme(GeneralRandomParams(W, K, optimize_random(W, K, "general")[0]))
+        want = simulate(SimConfig(scheme, runs=40, seed=3))
+        rows = [r.split(",") for r in csv_path.read_text().strip().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == want.completion_times.tolist()
+        assert [int(r[2]) for r in rows] == want.censored.astype(int).tolist()
+        assert last_json(out)["mean"] == float(want.completion_times.mean())
 
     def test_random_scheme_past_forty_nodes(self, capsys, tmp_path):
         # the default slot cap is 20 frame lengths, 20 * 3174 at K=60

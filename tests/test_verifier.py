@@ -724,6 +724,11 @@ class TestRatioTable:
         assert (10, 5) not in table  # threshold for K=10 is 4
         assert (10, 4) in table
 
+    def test_skips_a_zero_bound(self):
+        # K = M = W = 1: one node, so the combined bound 4 (W - 1) is 0
+        assert lower_bound(1, 1, 1, 1).combined == 0
+        assert ratio_table([1, 2], [1]) == {(2, 1): 1.5}
+
 
 class TestAppendixF:
     def test_known_values(self):
