@@ -9,9 +9,10 @@ and reports that broadcast completion time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -20,6 +21,14 @@ from .constructor import ScheduleSequenceSet
 from .pool import map_ranges
 from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_length
 from .seqcore import GroupDivision, OffsetVector
+
+
+def run_streams(seed: int, runs: range) -> list[np.random.Generator]:
+    """The random streams of runs: run k's is the k-th child of the seed
+    (SeedSequence.spawn order), made directly, so it does not depend on
+    how runs are split."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in runs]
 
 
 class Scheme(Protocol):
@@ -36,10 +45,11 @@ class Scheme(Protocol):
         when None; ValueError for a cap the scheme cannot use."""
         ...
 
-    def action_source(self, rngs: list[np.random.Generator],
+    def action_source(self, seed: int, runs: range,
                       offset_mode: str | OffsetVector) -> kernel.Actions:
-        """Slot actions of runs by index into rngs (see kernel.run_batch);
-        run r draws only from rngs[r]."""
+        """Slot actions of `runs`, indexed from 0 (see kernel.run_batch).
+        Run k draws only from its stream in run_streams(seed, runs); a
+        source that does not draw makes no stream."""
         ...
 
 
@@ -62,22 +72,66 @@ class SequenceScheme:
             raise ValueError("max_slots below one period cannot certify completion")
         return requested
 
-    def action_source(self, rngs, offset_mode):
+    def action_source(self, seed, runs, offset_mode):
         K, L = self.K, self.sset.L
         if isinstance(offset_mode, OffsetVector):
             if len(offset_mode.offsets) != K or offset_mode.period != L:
                 raise ValueError("fixed offsets do not match the scheme")
-            taus = np.tile(offset_mode.offsets, (len(rngs), 1))
+            taus = np.tile(offset_mode.offsets, (len(runs), 1))
         elif offset_mode == "zero":
-            taus = np.zeros((len(rngs), K), dtype=np.int64)
+            taus = np.zeros((len(runs), K), dtype=np.int64)
         else:
-            taus = np.array([rng.integers(0, L, size=K) for rng in rngs])
+            taus = np.array([rng.integers(0, L, size=K) for rng in run_streams(seed, runs)])
         return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
+
+
+# How many ulps from its float band sum _band_edge looks for an edge
+# before it bisects.
+_EDGE_WINDOW = 16
+
+
+def _band_edge(band: Callable[[float], int], k: int, guess: float) -> float:
+    """The smallest double u in [0, 1) with band(u) >= k, or 1.0 when there
+    is none, for a nondecreasing band(u) on [0, 1].  The search starts at
+    guess, a float sum of band probabilities, and walks ulp by ulp; it
+    bisects over the bit patterns of [0, 1], which order as the doubles do,
+    only if the edge is not within _EDGE_WINDOW ulps."""
+    u = min(max(guess, 0.0), 1.0)
+    if band(u) >= k:
+        for _ in range(_EDGE_WINDOW):
+            if band(below := math.nextafter(u, 0.0)) < k:
+                return u
+            u = below
+    else:
+        for _ in range(_EDGE_WINDOW):
+            u = math.nextafter(u, 1.0)
+            if band(u) >= k:
+                return u
+    if band(0.0) >= k:
+        return 0.0
+    # band(lo) < k; hi reaches k, or is 1.0
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if band(float(np.int64(mid).view(np.float64))) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 class _DrawnScheme:
     """Shared by the random schemes: their actions are fresh draws, and
-    max_slots defaults to 20 analytic frame lengths."""
+    max_slots defaults to 20 analytic frame lengths.
+
+    The scheme's probabilities split [0, 1) into consecutive bands, one per
+    action, and a uniform draw u acts by its band, band(u).  band is the
+    scheme's float rule, and each of its steps is nondecreasing in u, so
+    band k begins at one double, its edge, and u lies in band #(u >= edge).
+    The edges are found once per scheme; a draw then becomes an action by
+    edge comparisons and a lookup in an int16 code table, one row per node
+    class, with no float arithmetic on the draw.
+    """
 
     @property
     def K(self) -> int:
@@ -90,56 +144,117 @@ class _DrawnScheme:
     def max_slots(self, requested: int | None) -> int:
         return 20 * frame_length(self.K) if requested is None else requested
 
-    def action_source(self, rngs, offset_mode):
+    @cached_property
+    def _edges(self) -> tuple[float, ...]:
+        band = self._band_rule()
+        return tuple(_band_edge(band, k, guess)
+                     for k, guess in enumerate(self._band_sums(), 1))
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat code table and each node's offset into it, a column
+        that broadcasts against (K, T) draws."""
+        table, rows = self._code_table()
+        offsets = (rows * table.shape[1]).astype(np.min_scalar_type(table.size - 1))
+        return table.ravel(), offsets[:, None]
+
+    def _codes_into(self, u: np.ndarray, out: np.ndarray, index: np.ndarray,
+                    hit: np.ndarray) -> None:
+        """out = symbol codes of draws u; index and hit are scratch arrays of
+        u's shape.  A draw's table index is its node's offset plus the
+        number of edges it reaches."""
+        table, acc = self._lookup
+        for edge in self._edges:
+            np.greater_equal(u, edge, out=hit)
+            np.add(acc, hit.view(np.uint8), out=index)
+            acc = index
+        table.take(index, out=out, mode="clip")
+
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """Symbol codes of uniform draws u, one row per node; the general
+        scheme, whose nodes all act alike, takes any number of rows."""
+        out = np.empty(u.shape, dtype=np.int16)
+        self._codes_into(u, out, np.empty(u.shape, dtype=self._lookup[1].dtype),
+                         np.empty(u.shape, dtype=bool))
+        return out
+
+    def action_source(self, seed, runs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
-        own stream, mapped to slot actions by codes()."""
+        own stream, turned into slot actions as codes() does."""
+        rngs = run_streams(seed, runs)
+        index_dtype = self._lookup[1].dtype
+
         def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
+            u = np.empty((self.K, T))
+            index = np.empty(u.shape, dtype=index_dtype)
+            hit = np.empty(u.shape, dtype=bool)
             out = np.empty((ids.size, self.K, T), dtype=np.int16)
             for n, r in enumerate(ids):
-                out[n] = self.codes(rngs[r].random((self.K, T)))
+                rngs[r].random(out=u)
+                self._codes_into(u, out[n], index, hit)
             return out
         return actions
 
 
 @dataclass(frozen=True)
 class AssignTRandomScheme(_DrawnScheme):
+    """Band 0 transmits on the node's own channel (p_b), band 1 receives
+    on it (q_1), and bands 2..W receive on the other channels in
+    ascending order (q_2 each)."""
+
     params: AssignTRandomParams
 
-    @cached_property
-    def _own(self) -> np.ndarray:
-        """(K, 1) column of each node's own channel, built once per scheme."""
-        own = np.array(GroupDivision.even(self.params.K, self.params.W).assignment)[:, None]
-        own.setflags(write=False)
-        return own
+    def _band_rule(self) -> Callable[[float], int]:
+        p_b, q_1, q_2, W = self.params.p_b, self.params.q_1, self.params.q_2, self.params.W
 
-    def codes(self, u: np.ndarray) -> np.ndarray:
-        """Symbol codes of uniform draws u (K x T): transmit on the node's
-        own channel for p_b, then receive on it for q_1, then on the other
-        channels in ascending order for q_2 each."""
-        params = self.params
-        W = params.W
-        own = self._own
-        codes = np.where(u < params.p_b, own, -own)
-        if W > 1:
-            tail = u - params.p_b - params.q_1
-            pick = np.clip((tail / params.q_2).astype(np.int64), 0, W - 2) + 1
-            # the pick-th channel other than own: channels from own up move one up
-            codes = np.where(tail >= 0, -(pick + (pick >= own)), codes)
-        return codes
+        def band(u: float) -> int:
+            if u < p_b:
+                return 0
+            tail = u - p_b - q_1
+            if W == 1 or tail < 0:
+                return 1
+            return 2 + int(min(tail / q_2, W - 2))  # the last band takes rounding up to 1
+        return band
+
+    def _band_sums(self) -> list[float]:
+        p = self.params
+        return [p.p_b] + [p.p_b + p.q_1 + j * p.q_2 for j in range(p.W - 1)]
+
+    def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row c - 1 holds the codes of the nodes whose own channel is c."""
+        W = self.params.W
+        table = np.array([[c, -c] + [-m for m in range(1, W + 1) if m != c]
+                          for c in range(1, W + 1)], dtype=np.int16)
+        own = np.array(GroupDivision.even(self.params.K, W).assignment)
+        return table, own - 1
 
 
 @dataclass(frozen=True)
 class GeneralRandomScheme(_DrawnScheme):
+    """Bands 0..W-1 transmit on channels 1..W (p_a each), and bands
+    W..2W-1 receive on channels 1..W (q_a each)."""
+
     params: GeneralRandomParams
 
-    def codes(self, u: np.ndarray) -> np.ndarray:
-        """Symbol codes of uniform draws u: transmit on channels 1..W in
-        turn for p_a each, then receive on channels 1..W for q_a each."""
-        params = self.params
-        W = params.W
-        tx_ch = np.clip((u / params.p_a).astype(np.int64), 0, W - 1) + 1
-        rx_ch = np.clip(((u - W * params.p_a) / params.q_a).astype(np.int64), 0, W - 1) + 1
-        return np.where(u < W * params.p_a, tx_ch, -rx_ch)
+    def _band_rule(self) -> Callable[[float], int]:
+        p_a, q_a, W = self.params.p_a, self.params.q_a, self.params.W
+
+        def band(u: float) -> int:
+            if u < W * p_a:
+                return int(min(u / p_a, W - 1))
+            return W + int(min((u - W * p_a) / q_a, W - 1))
+        return band
+
+    def _band_sums(self) -> list[float]:
+        p = self.params
+        return ([m * p.p_a for m in range(1, p.W + 1)]
+                + [p.W * p.p_a + m * p.q_a for m in range(1, p.W)])
+
+    def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
+        W = self.params.W
+        table = np.array([list(range(1, W + 1)) + list(range(-1, -W - 1, -1))],
+                         dtype=np.int16)
+        return table, np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -202,12 +317,10 @@ class SimResult:
 
 
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
-    """Execute runs [start, stop); run k's stream is the k-th child of the
-    seed (SeedSequence.spawn order), so results are identical no matter
-    how runs are batched."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
-            for k in range(start, stop)]
-    actions = config.scheme.action_source(rngs, config.offset_mode)
+    """Execute runs [start, stop); run k's stream is its run_streams
+    stream, so results are identical no matter how runs are batched."""
+    actions = config.scheme.action_source(config.seed, range(start, stop),
+                                          config.offset_mode)
     K, n = config.K, stop - start
     off_diag = ~np.eye(K, dtype=bool)
     times = np.empty(n, dtype=np.int64)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
+from schedseq.kernel import BATCH_BYTES, CHUNK_SLOTS, batch_runs, run_bytes
 from schedseq.random_schemes import (
     AssignTRandomParams,
     CouponModel,
@@ -11,6 +13,7 @@ from schedseq.random_schemes import (
     coupon_cdf,
     group_cdf,
     optimal_single_channel,
+    optimize_random,
 )
 from schedseq.seqcore import OffsetVector, ScheduleSequence, Symbol
 from schedseq.simulator import (
@@ -18,6 +21,7 @@ from schedseq.simulator import (
     GeneralRandomScheme,
     SequenceScheme,
     SimConfig,
+    _band_edge,
     completion_histogram,
     simulate,
 )
@@ -151,6 +155,22 @@ class TestSimulateSequence:
         with pytest.raises(ValueError):
             simulate(cfg)
 
+    def test_only_drawn_offsets_build_generators(self, monkeypatch):
+        # zero and fixed offsets never draw, so they build no random stream
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        sset = build_schedule_set(4, 2, W=2)
+        for mode in ("zero", OffsetVector((0, 5, 9, 30), sset.L)):
+            simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4, offset_mode=mode))
+            assert made == [], mode
+        simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4))
+        assert len(made) == 20
+
 
 class TestSimulateRandom:
     def test_assign_t_single_node_marginal(self):
@@ -252,6 +272,13 @@ def edge_grid(edges) -> np.ndarray:
     return np.array(sorted({u for u in points if 0.0 <= u < 1.0}))
 
 
+def ulp_grid(points, ulps: int = 8) -> np.ndarray:
+    """Every double in [0, 1) within `ulps` ulps of some point."""
+    bits = np.array(points, dtype=np.float64).view(np.int64)[:, None]
+    near = (bits + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+    return np.unique(near[(near >= 0.0) & (near < 1.0)])
+
+
 class TestCodeMapsAgainstBands:
     """codes(u) against per-draw band lookups: the scheme's probabilities
     split [0, 1) into consecutive bands, one per action."""
@@ -300,6 +327,133 @@ class TestCodeMapsAgainstBands:
         got = GeneralRandomScheme(params).codes(np.tile(u, (5, 1)))
         want = [self.general_action(params, float(v)) for v in u]
         assert got.tolist() == [want] * 5
+
+    # Every double within 8 ulps of each float band sum and of each edge the
+    # scheme found, also for p near 0 or 1, one or six channels, and
+    # receive bands of about 1e-13.
+    @pytest.mark.parametrize("W", [1, 2, 3, 6])
+    @pytest.mark.parametrize("p_b", [1e-9, 0.3, 1 - 1e-9, 1 - 1e-12])
+    def test_assign_t_near_edges(self, W, p_b):
+        K = 7
+        params = AssignTRandomParams(W, K, p_b)
+        scheme = AssignTRandomScheme(params)
+        base = params.p_b + params.q_1
+        sums = [params.p_b, base] + [base + k * params.q_2 for k in range(1, W)]
+        u = ulp_grid([0.0, 0.5, *sums, *scheme._edges])
+        own = [(x % W) + 1 for x in range(K)]  # round-robin groups
+        got = scheme.codes(np.tile(u, (K, 1)))
+        want = [[self.assign_t_action(params, g, float(v)) for v in u] for g in own]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("W", [1, 2, 3, 6])
+    @pytest.mark.parametrize("share", [1e-9, 0.37, 1 - 1e-9, 1 - 1e-12])
+    def test_general_near_edges(self, W, share):
+        params = GeneralRandomParams(W, 5, share / W)
+        scheme = GeneralRandomScheme(params)
+        tx = W * params.p_a
+        sums = [m * params.p_a for m in range(1, W + 1)] + [tx + m * params.q_a
+                                                           for m in range(1, W)]
+        u = ulp_grid([0.0, 0.5, *sums, *scheme._edges])
+        got = scheme.codes(np.tile(u, (5, 1)))
+        want = [self.general_action(params, float(v)) for v in u]
+        assert got.tolist() == [want] * 5
+
+
+class TestBandEdge:
+    """_band_edge finds the first double of a band from any starting guess."""
+
+    @pytest.mark.parametrize("guess", [0.0, 0.3, 0.7, 0.999])
+    def test_step_at_a_known_double(self, guess):
+        x = float(np.nextafter(0.7, 1.0))
+        assert _band_edge(lambda u: int(u >= x), 1, guess) == x
+
+    def test_far_guesses_reach_the_scheme_edges(self):
+        scheme = GeneralRandomScheme(GeneralRandomParams(3, 6, 0.05))
+        band = scheme._band_rule()
+        for k, edge in enumerate(scheme._edges, 1):
+            for guess in (0.0, float(np.nextafter(1.0, 0.0)), edge + 1e-9, edge - 1e-9):
+                assert _band_edge(band, k, guess) == edge, (k, guess)
+
+    def test_a_band_at_zero_or_never_reached(self):
+        assert _band_edge(lambda u: 1, 1, 0.5) == 0.0
+        assert _band_edge(lambda u: 0, 1, 0.5) == 1.0
+
+
+def drawn_scheme(kind: str, W: int, K: int, p: float):
+    if kind == "assign_t":
+        return AssignTRandomScheme(AssignTRandomParams(W, K, p))
+    return GeneralRandomScheme(GeneralRandomParams(W, K, p))
+
+
+# Completion times of 8 runs of `simulate` at optimize_random's transmit
+# probability, keyed by (scheme, K, W, seed).
+PINNED_TIMES = {
+    ("assign_t", 6, 1, 3): (19, 11, 22, 13, 25, 30, 66, 26),
+    ("assign_t", 6, 1, 41): (43, 41, 30, 11, 36, 25, 23, 41),
+    ("assign_t", 6, 2, 3): (60, 69, 78, 66, 44, 70, 46, 54),
+    ("assign_t", 6, 2, 41): (53, 52, 78, 41, 80, 58, 46, 74),
+    ("assign_t", 6, 3, 3): (76, 67, 98, 129, 44, 88, 53, 99),
+    ("assign_t", 6, 3, 41): (110, 87, 74, 67, 81, 112, 37, 77),
+    ("assign_t", 18, 1, 3): (188, 195, 128, 134, 156, 127, 227, 224),
+    ("assign_t", 18, 1, 41): (265, 121, 125, 210, 195, 199, 113, 299),
+    ("assign_t", 18, 2, 3): (300, 252, 274, 221, 231, 230, 312, 243),
+    ("assign_t", 18, 2, 41): (327, 344, 302, 302, 409, 242, 346, 303),
+    ("assign_t", 18, 3, 3): (247, 258, 423, 345, 216, 230, 299, 272),
+    ("assign_t", 18, 3, 41): (277, 371, 278, 466, 306, 334, 503, 231),
+    ("general", 6, 1, 3): (19, 11, 22, 13, 25, 30, 66, 26),
+    ("general", 6, 1, 41): (43, 41, 30, 11, 36, 25, 23, 41),
+    ("general", 6, 2, 3): (49, 49, 70, 70, 152, 39, 84, 45),
+    ("general", 6, 2, 41): (49, 41, 65, 81, 54, 118, 46, 79),
+    ("general", 6, 3, 3): (114, 91, 98, 149, 55, 52, 130, 142),
+    ("general", 6, 3, 41): (97, 62, 83, 177, 62, 70, 50, 102),
+    ("general", 18, 1, 3): (188, 195, 128, 134, 156, 127, 227, 224),
+    ("general", 18, 1, 41): (265, 121, 125, 210, 195, 199, 113, 299),
+    ("general", 18, 2, 3): (255, 249, 198, 234, 331, 319, 313, 299),
+    ("general", 18, 2, 41): (333, 271, 228, 423, 275, 259, 357, 347),
+    ("general", 18, 3, 3): (266, 309, 268, 274, 332, 417, 238, 392),
+    ("general", 18, 3, 41): (244, 369, 236, 466, 322, 251, 390, 319),
+}
+
+
+class TestRandomStreamsPinned:
+    """The random schemes' completion times, fixed: a change to the stream,
+    the draw order or the draw-to-action mapping shows here."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_TIMES))
+    def test_completion_times(self, key):
+        kind, K, W, seed = key
+        scheme = drawn_scheme(kind, W, K, optimize_random(W, K, kind)[0])
+        res = simulate(SimConfig(scheme, runs=8, seed=seed))
+        assert tuple(res.completion_times.tolist()) == PINNED_TIMES[key]
+
+    @pytest.mark.parametrize("kind, p, seed, want", [
+        ("assign_t", 0.02, 3, (1255, 797, 747, 737)),
+        ("assign_t", 0.02, 41, (1186, 1213, 1012, 903)),
+        ("general", 0.006, 3, (958, 1098, 941, 841)),
+        ("general", 0.006, 41, (1626, 1351, 1221, 1250)),
+    ])
+    def test_over_several_chunks(self, kind, p, seed, want):
+        res = simulate(SimConfig(drawn_scheme(kind, 3, 18, p), runs=4, seed=seed))
+        assert tuple(res.completion_times.tolist()) == want
+
+
+class TestActionMemory:
+    @pytest.mark.parametrize("K", [4, 18, 150])
+    @pytest.mark.parametrize("kind", ["assign_t", "general"])
+    def test_one_chunk_fits_the_batch_budget(self, kind, K):
+        # the kernel's promise: a batch's working set is bounded by
+        # BATCH_BYTES, or by one run's when that alone is larger
+        scheme = drawn_scheme(kind, 3, K, optimize_random(3, K, kind)[0])
+        runs = batch_runs(K)
+        actions = scheme.action_source(1, range(runs), "uniform")
+        tracemalloc.start()
+        try:
+            out = actions(np.arange(runs), 0, CHUNK_SLOTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (runs, K, CHUNK_SLOTS)
+        assert peak <= max(BATCH_BYTES, run_bytes(K))
 
 
 class TestChannelCountEffects:
