@@ -46,7 +46,7 @@ from .simulator import (
     completion_histogram,
     simulate,
 )
-from .verifier import Verdict, lower_bound, verify_set
+from .verifier import Verdict, lower_bound, period_bounds, verify_set
 
 SCHEMA_VERSION = "1"      # JSON payloads the commands print
 SET_SCHEMA_VERSION = "2"  # set files written by save_set; load_set also reads "1"
@@ -284,8 +284,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     save_set(sset, args.out)
     params = sset.params
     assert params is not None
-    k = params.division.k_min
-    bound = lower_bound(params.W, k, args.M, args.K).combined
+    bound = max(period_bounds(params.W, params.division.k_min))
     _emit({"K": args.K, "M": args.M, "W": params.W, "L": params.L,
            "Mprime": m_prime(args.K), "lower_bound": bound, "out": args.out})
     return 0

@@ -182,20 +182,24 @@ class GroupDivision:
     assignment: tuple[int, ...]  # group index of node i at position i-1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(int(g) for g in self.assignment))
+        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
         if not self.assignment:
             raise ValueError("empty division")
         W = max(self.assignment)
-        present = set(self.assignment)
-        if min(self.assignment) < 1 or present != set(range(1, W + 1)):
-            raise ValueError(f"groups 1..{W} must all be non-empty, got {sorted(present)}")
+        # one C-level count per group; a W above K leaves some group empty
+        if (min(self.assignment) < 1 or W > self.K
+                or 0 in (sizes := tuple(map(self.assignment.count, range(1, W + 1))))):
+            raise ValueError(f"groups 1..{W} must all be non-empty, "
+                             f"got {sorted(set(self.assignment))}")
+        object.__setattr__(self, "_sizes", sizes)
 
     @classmethod
     def even(cls, K: int, W: int) -> "GroupDivision":
         """Round-robin division; group sizes differ by at most one."""
         if not 1 <= W <= K:
             raise ValueError(f"need 1 <= W <= K, got W={W}, K={K}")
-        return cls(tuple((i % W) + 1 for i in range(K)))
+        cycle = tuple(range(1, W + 1))
+        return cls(cycle * (K // W) + cycle[:K % W])
 
     @property
     def K(self) -> int:
@@ -203,29 +207,28 @@ class GroupDivision:
 
     @property
     def W(self) -> int:
-        return max(self.assignment)
+        return len(self._sizes)
 
     def group_of(self, i: int) -> int:
         return self.assignment[i - 1]
 
     def members(self, m: int) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.K + 1) if self.assignment[i - 1] == m)
+        return tuple(i for i, g in enumerate(self.assignment, 1) if g == m)
 
     def rank_in_group(self, i: int) -> int:
         """1-based position of node i inside its own group."""
-        m = self.group_of(i)
-        return sum(1 for x in range(1, i + 1) if self.assignment[x - 1] == m)
+        return self.assignment[:i].count(self.group_of(i))
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(self.members(m)) for m in range(1, self.W + 1))
+        return self._sizes
 
     @property
     def k_min(self) -> int:
-        return min(self.sizes())
+        return min(self._sizes)
 
     @property
     def ell(self) -> int:
-        return max(self.sizes())
+        return max(self._sizes)
 
 
 @dataclass(frozen=True)

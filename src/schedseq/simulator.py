@@ -23,12 +23,11 @@ from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_leng
 from .seqcore import GroupDivision, OffsetVector
 
 
-def run_streams(seed: int, runs: range) -> list[np.random.Generator]:
-    """The random streams of runs: run k's is the k-th child of the seed
+def run_stream(seed: int, k: int) -> np.random.Generator:
+    """The random stream of run k: the k-th child of the seed
     (SeedSequence.spawn order), made directly, so it does not depend on
     how runs are split."""
-    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            for k in runs]
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 class Scheme(Protocol):
@@ -48,8 +47,8 @@ class Scheme(Protocol):
     def action_source(self, seed: int, runs: range,
                       offset_mode: str | OffsetVector) -> kernel.Actions:
         """Slot actions of `runs`, indexed from 0 (see kernel.run_batch).
-        Run k draws only from its stream in run_streams(seed, runs); a
-        source that does not draw makes no stream."""
+        Run k draws only from run_stream(seed, k); a source that does not
+        draw makes no stream."""
         ...
 
 
@@ -81,7 +80,10 @@ class SequenceScheme:
         elif offset_mode == "zero":
             taus = np.zeros((len(runs), K), dtype=np.int64)
         else:
-            taus = np.array([rng.integers(0, L, size=K) for rng in run_streams(seed, runs)])
+            # one stream alive at a time: a run's offsets are all it draws
+            taus = np.empty((len(runs), K), dtype=np.int64)
+            for n, k in enumerate(runs):
+                taus[n] = run_stream(seed, k).integers(0, L, size=K)
         return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
 
 
@@ -181,7 +183,7 @@ class _DrawnScheme:
     def action_source(self, seed, runs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
         own stream, turned into slot actions as codes() does."""
-        rngs = run_streams(seed, runs)
+        rngs = [run_stream(seed, k) for k in runs]
         index_dtype = self._lookup[1].dtype
 
         def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
@@ -317,8 +319,8 @@ class SimResult:
 
 
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
-    """Execute runs [start, stop); run k's stream is its run_streams
-    stream, so results are identical no matter how runs are batched."""
+    """Execute runs [start, stop); run k's stream is run_stream(seed, k),
+    so results are identical no matter how runs are batched."""
     actions = config.scheme.action_source(config.seed, range(start, stop),
                                           config.offset_mode)
     K, n = config.K, stop - start

@@ -414,6 +414,16 @@ class BoundReport:
     epsilon: float
 
 
+def period_bounds(W: int, k: int, improved_remark: bool = False) -> tuple[int, int]:
+    """(blocking, counting) period lower bounds in exact integers; the
+    combined bound is their max.  With k = 1 they are (0, 4 (W-1))."""
+    if k == 1:
+        return 0, 4 * (W - 1)
+    # 8 (k-1)^2 W eps / 9 with eps = 1 - 1/k, or eps = 1 under the remark
+    num, den = ((k - 1) ** 2, 9) if improved_remark else ((k - 1) ** 3, 9 * k)
+    return -(-8 * num * W // den), 4 * W * (k - 1)
+
+
 def lower_bound(W: int, k: int, M: int, K: int,
                 improved_remark: bool = False) -> BoundReport:
     """Evaluate both period lower bounds and combine them.
@@ -423,17 +433,14 @@ def lower_bound(W: int, k: int, M: int, K: int,
     """
     if not (1 <= W <= M <= K and k >= 1):
         raise ValueError("need 1 <= W <= M <= K and k >= 1")
-    if k == 1:
-        combined = 4 * (W - 1)
-        return BoundReport(W, k, M, K, bound_blocking=0, bound_counting=combined,
-                           combined=combined, b_sequence=(), epsilon=0.0)
-    eps = Fraction(1, 1) if improved_remark else 1 - Fraction(1, k)
-    blocking = math.ceil(8 * (k - 1) ** 2 * W * eps / 9)
-    counting = 4 * W * (k - 1)
+    blocking, counting = period_bounds(W, k, improved_remark)
     combined = max(blocking, counting)
-    bseq = b_sequence(k - 1, W * eps, combined, steps=k - 1)
+    bseq, eps = (), 0
+    if k > 1:
+        eps = Fraction(1, 1) if improved_remark else 1 - Fraction(1, k)
+        bseq = tuple(b_sequence(k - 1, W * eps, combined, steps=k - 1))
     return BoundReport(W, k, M, K, bound_blocking=blocking, bound_counting=counting,
-                       combined=combined, b_sequence=tuple(bseq), epsilon=float(eps))
+                       combined=combined, b_sequence=bseq, epsilon=float(eps))
 
 
 def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
@@ -449,8 +456,7 @@ def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
             if M > m_prime(K):
                 continue
             params = select_params(K, M, M)
-            k = params.division.k_min
-            bound = lower_bound(M, k, M, K).combined
+            bound = max(period_bounds(M, params.division.k_min))
             if bound > 0:
                 out[(K, M)] = round(params.L / bound, 2)
     return out

@@ -221,6 +221,76 @@ class TestGroupDivision:
             GroupDivision.even(3, 4)
 
 
+def division_oracle(assignment):
+    """sizes, members and ranks of a division by direct scans."""
+    K, W = len(assignment), max(assignment)
+    members = {m: tuple(i for i in range(1, K + 1) if assignment[i - 1] == m)
+               for m in range(1, W + 1)}
+    ranks = {i: members[assignment[i - 1]].index(i) + 1 for i in range(1, K + 1)}
+    return members, ranks
+
+
+def random_assignment(rng, K, W):
+    """Every group non-empty, the rest drawn with uneven group weights."""
+    weights = rng.dirichlet(np.full(W, 0.3))
+    groups = np.concatenate([np.arange(1, W + 1), rng.choice(np.arange(1, W + 1), K - W, p=weights)])
+    return tuple(int(g) for g in rng.permutation(groups))
+
+
+class TestGroupDivisionAgainstOracle:
+    def check(self, d, assignment):
+        members, ranks = division_oracle(assignment)
+        assert d.assignment == assignment and d.K == len(assignment)
+        assert d.W == len(members)
+        assert d.sizes() == tuple(len(members[m]) for m in sorted(members))
+        assert d.k_min == min(map(len, members.values()))
+        assert d.ell == max(map(len, members.values()))
+        for m, want in members.items():
+            assert d.members(m) == want
+        for i, want in ranks.items():
+            assert d.group_of(i) == assignment[i - 1] and d.rank_in_group(i) == want
+
+    def test_random_uneven_divisions(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            K = int(rng.integers(1, 201))
+            W = int(rng.integers(1, min(12, K) + 1))
+            a = random_assignment(rng, K, W)
+            self.check(GroupDivision(a), a)
+
+    def test_even_divisions(self):
+        for K in (*range(1, 41), *range(47, 201, 17), 200):
+            for W in range(1, min(12, K) + 1):
+                a = tuple((i % W) + 1 for i in range(K))
+                d = GroupDivision.even(K, W)
+                self.check(d, a)
+                assert max(d.sizes()) - min(d.sizes()) <= 1
+
+    def test_eq_hash_and_repr(self):
+        d = GroupDivision.even(5, 2)
+        for same in (GroupDivision([1, 2, 1, 2, 1]), GroupDivision(np.array([1, 2, 1, 2, 1]))):
+            assert same == d and hash(same) == hash(d)
+            assert type(same.assignment[0]) is int
+        assert repr(d) == "GroupDivision(assignment=(1, 2, 1, 2, 1))"
+        assert d != GroupDivision((2, 1, 2, 1, 2)) and d != (1, 2, 1, 2, 1)
+
+    @pytest.mark.parametrize("bad", [(1, 1, 3), (0, 1), (2, 2), (1, 2, -1), (-3,), (1, 9),
+                                     (3, 1, 1), (1, 2, 4, 4, 5)])
+    def test_invalid_divisions_keep_their_message(self, bad):
+        want = f"groups 1..{max(bad)} must all be non-empty, got {sorted(set(bad))}"
+        with pytest.raises(ValueError) as err:
+            GroupDivision(bad)
+        assert str(err.value) == want
+
+    def test_empty_and_bad_even(self):
+        with pytest.raises(ValueError, match="^empty division$"):
+            GroupDivision(())
+        for K, W in ((3, 4), (3, 0), (0, 0), (5, -1)):
+            with pytest.raises(ValueError) as err:
+                GroupDivision.even(K, W)
+            assert str(err.value) == f"need 1 <= W <= K, got W={W}, K={K}"
+
+
 class TestOffsetVector:
     def test_range_check(self):
         OffsetVector((0, 1, 4), period=5)

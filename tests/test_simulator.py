@@ -171,6 +171,23 @@ class TestSimulateSequence:
         simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4))
         assert len(made) == 20
 
+    def test_offset_memory_does_not_grow_with_runs(self):
+        # one run's stream alive at a time: 20,000 runs cost their (runs, K)
+        # offsets and results, not a generator each (about 1.1 KB a run)
+        sset = build_schedule_set(4, 2, W=2)
+
+        def traced(runs):
+            tracemalloc.start()
+            try:
+                res = simulate(SimConfig(SequenceScheme(sset), runs=runs, seed=9))
+                return res, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        few, few_peak = traced(200)
+        many, many_peak = traced(20_000)
+        assert many_peak - few_peak <= 2 * 2 ** 20
+        np.testing.assert_array_equal(many.completion_times[:200], few.completion_times)
+
 
 class TestSimulateRandom:
     def test_assign_t_single_node_marginal(self):

@@ -23,6 +23,7 @@ from schedseq.verifier import (
     check_pair_conservative,
     check_pair_exhaustive,
     lower_bound,
+    period_bounds,
     ratio_table,
     success_slots,
     verify_set,
@@ -711,7 +712,84 @@ class TestLowerBound:
         assert len(short) < 16 or short[-1] < 1
 
 
+def fraction_bound_report(W, k, M, K, improved_remark):
+    """The bound report with each ceiling taken over an exact Fraction eps."""
+    if k == 1:
+        return verifier.BoundReport(W, k, M, K, bound_blocking=0, bound_counting=4 * (W - 1),
+                                    combined=4 * (W - 1), b_sequence=(), epsilon=0.0)
+    eps = Fraction(1) if improved_remark else 1 - Fraction(1, k)
+    blocking = math.ceil(8 * (k - 1) ** 2 * W * eps / 9)
+    counting = 4 * W * (k - 1)
+    combined = max(blocking, counting)
+    return verifier.BoundReport(
+        W, k, M, K, bound_blocking=blocking, bound_counting=counting, combined=combined,
+        b_sequence=tuple(b_sequence(k - 1, W * eps, combined, steps=k - 1)),
+        epsilon=float(eps))
+
+
+class TestExactIntegerBounds:
+    @pytest.mark.parametrize("improved", [False, True])
+    def test_period_bounds_match_fraction_ceilings(self, improved):
+        for W in range(1, 13):
+            assert period_bounds(W, 1, improved) == (0, 4 * (W - 1))
+            for k in range(2, 401):
+                eps = Fraction(1) if improved else 1 - Fraction(1, k)
+                want = (math.ceil(8 * (k - 1) ** 2 * W * eps / 9), 4 * W * (k - 1))
+                assert period_bounds(W, k, improved) == want, (W, k)
+
+    @pytest.mark.parametrize("improved", [False, True])
+    def test_reports_equal_in_every_field(self, improved):
+        ks = [*range(1, 61), *range(61, 401, 13), 399, 400]
+        for W in range(1, 13):
+            for k in ks:
+                M = min(W + k % 3, 12)
+                K = M * k + k % 5
+                assert (lower_bound(W, k, M, K, improved_remark=improved)
+                        == fraction_bound_report(W, k, M, K, improved)), (W, k)
+
+
 class TestRatioTable:
+    # reference tables, computed with the bounds taken over Fractions
+    PAPER_GRID = {
+        (60, 2): 5.23, (70, 2): 5.26, (80, 2): 5.04, (90, 2): 5.08, (100, 2): 5.12,
+        (110, 2): 5.15, (120, 2): 4.85, (130, 2): 4.9, (140, 2): 4.8, (150, 2): 4.97,
+        (60, 3): 6.18, (70, 3): 6.9, (80, 3): 5.97, (90, 3): 5.23, (100, 3): 5.95,
+        (110, 3): 5.96, (120, 3): 5.16, (130, 3): 5.46, (140, 3): 5.72, (150, 3): 5.12,
+        (60, 4): 6.48, (70, 4): 6.56, (80, 4): 6.18, (90, 4): 7.28, (100, 4): 6.02,
+        (110, 4): 5.71, (120, 4): 5.23, (130, 4): 5.99, (140, 4): 5.26, (150, 4): 5.63,
+        (60, 5): 7.12, (70, 5): 7.06, (80, 5): 5.98, (90, 5): 5.79, (100, 5): 6.18,
+        (110, 5): 5.78, (120, 5): 6.3, (130, 5): 5.75, (140, 5): 5.29, (150, 5): 5.23,
+    }
+    SMALL_GRID = {
+        (10, 1): 3.22, (11, 1): 2.85, (12, 1): 3.02, (13, 1): 2.73, (14, 1): 3.28,
+        (15, 1): 3.02, (16, 1): 2.8, (17, 1): 2.61, (18, 1): 2.74, (19, 1): 2.58,
+        (20, 1): 2.94, (21, 1): 2.78, (22, 1): 2.64, (23, 1): 2.51, (24, 1): 3.02,
+        (10, 2): 9.62, (11, 2): 11.38, (12, 2): 9.1, (13, 2): 16.5, (14, 2): 12.0,
+        (15, 2): 13.6, (16, 2): 9.71, (17, 2): 10.86, (18, 2): 8.2, (19, 2): 9.06,
+        (20, 2): 7.11, (21, 2): 9.2, (22, 2): 7.38, (23, 2): 8.02, (24, 2): 6.57,
+        (10, 3): 13.75, (11, 3): 13.75, (12, 3): 9.17, (13, 3): 12.83, (14, 3): 12.83,
+        (15, 3): 9.62, (16, 3): 11.38, (17, 3): 11.38, (18, 3): 9.1, (19, 3): 18.7,
+        (20, 3): 18.7, (21, 3): 13.52, (22, 3): 13.52, (23, 3): 13.52, (24, 3): 9.76,
+        (10, 4): 31.5, (11, 4): 31.5, (12, 4): 15.75, (13, 4): 15.75, (14, 4): 15.75,
+        (15, 4): 15.75, (16, 4): 10.5, (17, 4): 12.83, (18, 4): 12.83, (19, 4): 12.83,
+        (20, 4): 9.62, (21, 4): 11.38, (22, 4): 11.38, (23, 4): 11.38, (24, 4): 9.1,
+    }
+    # (2, 2), (3, 2), (3, 3), (4, 3) and (5, 3) have K < 2M, so one-node groups (k = 1)
+    DESK_GRID = {
+        (2, 1): 1.5, (3, 1): 1.88, (4, 1): 2.92, (5, 1): 2.81, (6, 1): 3.85, (7, 1): 3.25,
+        (8, 1): 4.23, (9, 1): 3.67, (2, 2): 15.0, (3, 2): 15.0, (4, 2): 7.5, (5, 2): 17.5,
+        (6, 2): 8.75, (7, 2): 11.25, (8, 2): 7.5, (9, 2): 12.83, (3, 3): 26.25, (4, 3): 26.25,
+        (5, 3): 26.25, (6, 3): 17.5, (7, 3): 17.5, (8, 3): 17.5, (9, 3): 8.75,
+    }
+
+    @pytest.mark.parametrize("Ks,Ms,want", [
+        (range(60, 151, 10), [2, 3, 4, 5], PAPER_GRID),
+        (range(10, 25), [1, 2, 3, 4], SMALL_GRID),
+        (range(2, 10), [1, 2, 3], DESK_GRID),
+    ], ids=["paper", "k10-24", "desk"])
+    def test_recorded_grids(self, Ks, Ms, want):
+        assert ratio_table(list(Ks), Ms) == want
+
     def test_spot_values(self):
         table = ratio_table([60, 70, 150], [2, 3, 4, 5])
         assert table[(70, 4)] == 6.56
