@@ -2,16 +2,20 @@
 
 In a slot, a node transmitting on channel m reaches every node listening
 to m exactly when it is the only transmitter on m.  `first_delivery`
-applies that rule to a batch of runs at once: per channel it packs the
-clean transmit slots of the given transmitter rows and the receive slots
-of every node into uint64 words (bit t of word w is slot 64 w + t), ANDs
+applies that rule to a batch of runs at once.  It packs the clean
+transmit slots of the given transmitter rows and the receive slots of
+every node into uint64 words (bit t of word w is slot 64 w + t), ANDs
 each transmitter row against its run's receiver rows, and reads the
-first delivery off the lowest set bit.  `run_batch` feeds it chunk after
-chunk and keeps a (runs, K) mask of the transmitters still pending: one
-leaves once all of its receivers are served, and a run once all of its
-transmitters have.  `run_batches` walks a range of runs in batches that
-fit the byte budget.  The simulator and the randomized verifier both go
-through here.
+first delivery off the lowest set bit.  When the scheme fixes each
+node's transmit channel (the paper's sequences and the AssignT random
+scheme), only a channel's own nodes can collide on it, and a chunk is
+one layer: one transmit mask, one pack and one gather of receive words.
+Otherwise every channel is a layer of its own.  `run_batch` feeds it
+chunk after chunk and keeps a (runs, K) mask of the transmitters still
+pending: one leaves once all of its receivers are served, and a run once
+all of its transmitters have.  `run_batches` walks a range of runs in
+batches that fit the byte budget.  The simulator and the randomized
+verifier both go through here.
 """
 
 from __future__ import annotations
@@ -38,10 +42,13 @@ def run_bytes(K: int) -> int:
     """Working set of one run in `run_batch`, in bytes.
 
     This is the first chunk, when every transmitter row is pending; later
-    chunks evaluate fewer rows and need less.  The slot actions and
-    per-channel masks take a few bytes per node and slot; per ordered pair
-    there are the packed words, their non-zero flags and about a dozen
-    int64 temporaries and results.
+    chunks evaluate fewer rows and need less.  Per node and slot there are
+    the slot actions and a few one-byte masks (transmit, clean, receive);
+    the (runs, W, T) clean table of the one-layer path adds at most one
+    more, as W <= K there.  Per ordered pair there are the (rows, K, 8)
+    hit words, their non-zero flags and about a dozen int64 temporaries
+    and results; the receive words, (runs, W, K, 8) in the one-layer path
+    and (runs, K, 8) per channel otherwise, fit in that allowance.
     """
     return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
 
@@ -57,23 +64,40 @@ def _pack(mask: np.ndarray) -> np.ndarray:
 
 
 def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
-                   tx: np.ndarray) -> np.ndarray:
+                   tx: np.ndarray, channel: np.ndarray | None = None) -> np.ndarray:
     """First delivery slot from each given transmitter row to every node.
 
-    actions is an (R, K, T) integer table: m > 0 transmits on channel m,
-    -m listens to channel m, and 0 does neither.  Row p is transmitter
-    tx[p] of run pos[p].  Returns the (rows, K) table of the first slot
-    in [0, T) at which that transmitter delivers to each node, or -1
-    where it never does.  Whether a slot is clean (one transmitter on
-    its channel) is judged over every node of the run.
+    actions is an (R, K, T) integer table with T <= CHUNK_SLOTS: m > 0
+    transmits on channel m, -m listens to channel m, and 0 does neither.
+    Row p is transmitter tx[p] of run pos[p].  Returns the (rows, K) table
+    of the first slot in [0, T) at which that transmitter delivers to each
+    node, or -1 where it never does.  Whether a slot is clean (one
+    transmitter on its channel) is judged over every node of the run.
+
+    channel, when given, is the (K,) transmit channel of each node, in
+    1..W: node x transmits on channel[x] or not at all, and listens to any
+    channel.  Then only channel m's own nodes can collide on m, and the
+    whole chunk is one layer; otherwise each channel is a layer of its own.
     """
     R, K, T = actions.shape
+    if T > CHUNK_SLOTS:
+        raise ValueError(f"a chunk holds at most {CHUNK_SLOTS} slots, got {T}")
     pad = -T % 64
     if pad:
         actions = np.concatenate(
             [actions, np.zeros((R, K, pad), dtype=actions.dtype)], axis=2)
-    hits = np.zeros((pos.size, K, (T + pad) // 64), dtype=np.uint64)
+    if channel is None:
+        return _first_slot(_channel_layers(actions, W, pos, tx))
+    return _first_slot(_one_layer(actions, W, pos, tx, channel))
+
+
+def _channel_layers(actions: np.ndarray, W: int, pos: np.ndarray,
+                    tx: np.ndarray) -> np.ndarray:
+    """Hit words of first_delivery's rows, (rows, K, T / 64), one channel
+    at a time: its clean transmit slots against its receive slots."""
+    R, K, T = actions.shape
     count_dtype = np.min_scalar_type(K)  # holds a count of up to K transmitters
+    hits = np.zeros((pos.size, K, T // 64), dtype=np.uint64)
     for m in range(1, W + 1):
         on_m = actions == m
         clean = np.add.reduce(on_m, axis=1, dtype=count_dtype) == 1
@@ -83,15 +107,65 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
         if p.size:
             rxw = _pack(actions == -m)
             hits[p] |= txw[p][:, None, :] & rxw[pos[p]]
-    word = (hits != 0).argmax(axis=2)
-    bits = np.take_along_axis(hits, word[..., None], axis=2)[..., 0]  # 0: no delivery
-    low = bits & (~bits + np.uint64(1))  # lowest set bit alone
-    slot = word * 64 + np.bitwise_count(low - np.uint64(1))
-    return np.where(bits != 0, slot, -1)
+    return hits
+
+
+def _one_layer(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+               channel: np.ndarray) -> np.ndarray:
+    """Hit words of first_delivery's rows when node x transmits on channel[x]
+    alone: each row meets the receive words of its transmitter's channel."""
+    R, K, T = actions.shape
+    row_channel = channel[tx] - 1
+    txw = _clean_sends(actions, W, pos, tx, channel, row_channel)
+    rxw = np.empty((R, W, K, T // 64), dtype=np.uint64)
+    for m in range(1, W + 1):
+        rxw[:, m - 1] = _pack(actions == -m)
+    hits = rxw[pos, row_channel]
+    hits &= txw[:, None, :]
+    return hits
+
+
+def _clean_sends(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+                 channel: np.ndarray, row_channel: np.ndarray) -> np.ndarray:
+    """Packed clean transmit slots of first_delivery's rows, each channel's
+    transmitters counted over its own nodes alone.  Its own function, so
+    that its slot masks are freed before the receive words are built."""
+    R, K, T = actions.shape
+    count_dtype = np.min_scalar_type(K)
+    on = actions > 0
+    clean = np.empty((R, W, T), dtype=bool)
+    for m in range(1, W + 1):
+        counts = np.add.reduce(on[:, channel == m], axis=1, dtype=count_dtype)
+        np.equal(counts, 1, out=clean[:, m - 1])
+    sends = on[pos, tx]
+    sends &= clean[pos, row_channel]
+    return _pack(sends)
+
+
+def _ctz(x: np.ndarray) -> np.ndarray:
+    """Trailing zero bits of each uint64; 64 for a zero."""
+    return np.bitwise_count(~x & (x - np.uint64(1)))
+
+
+def _first_slot(hits: np.ndarray) -> np.ndarray:
+    """(rows, K, n) hit words, n <= 8 -> (rows, K) lowest set slot, -1 where
+    none.  Byte w of a pair's 8 bytes of non-zero flags is 1 where word w
+    has a hit, so read as one uint64 the flags have 8 w trailing zeros for
+    the first such word, and the slot is 64 w plus that word's own."""
+    rows, K, n = hits.shape
+    flags = np.zeros((rows, K, CHUNK_SLOTS // 64), dtype=bool)
+    np.not_equal(hits, 0, out=flags[..., :n])
+    key = flags.view("<u8")[..., 0]
+    at = _ctz(key)  # 8 w, or 64 without a hit
+    index = np.arange(0, hits.size, n).reshape(rows, K)
+    index += np.minimum(at >> 3, n - 1)
+    slot = at.astype(np.int64) << 3
+    slot += _ctz(hits.reshape(-1).take(index))
+    return np.where(key != 0, slot, -1)
 
 
 def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
-              max_slots: int) -> np.ndarray:
+              max_slots: int, channel: np.ndarray | None = None) -> np.ndarray:
     """First delivery slots of the runs `ids`, over slots [0, max_slots).
 
     actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
@@ -99,6 +173,7 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
     in order.  Transmitter i of a run stays pending while some receiver
     j != i of that run has no delivery; each chunk evaluates only the
     pending transmitters and asks `actions` only for runs that have one.
+    channel is first_delivery's.
     """
     first = np.full((ids.size, K, K), -1, dtype=np.int64)
     pending = np.full((ids.size, K), K > 1)  # one node has no pair to serve
@@ -108,7 +183,7 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
             break
         T = min(CHUNK_SLOTS, max_slots - t0)
         pos, tx = np.nonzero(pending[runs])
-        got = first_delivery(actions(ids[runs], t0, T), W, pos, tx)
+        got = first_delivery(actions(ids[runs], t0, T), W, pos, tx, channel)
         r = runs[pos]
         part = first[r, tx]
         part = np.where((part < 0) & (got >= 0), t0 + got, part)
@@ -118,14 +193,15 @@ def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
     return first
 
 
-def run_batches(actions: Actions, runs: int, K: int, W: int,
-                max_slots: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def run_batches(actions: Actions, runs: int, K: int, W: int, max_slots: int,
+                channel: np.ndarray | None = None
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """run_batch over runs [0, runs) in order, a batch of batch_runs(K) runs
     at a time; yields each batch's run ids and first delivery slots."""
     batch = batch_runs(K)
     for lo in range(0, runs, batch):
         ids = np.arange(lo, min(lo + batch, runs))
-        yield ids, run_batch(actions, ids, K, W, max_slots)
+        yield ids, run_batch(actions, ids, K, W, max_slots, channel)
 
 
 def cyclic_reads(codes: np.ndarray, taus: np.ndarray) -> Actions:

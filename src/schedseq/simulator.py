@@ -39,6 +39,12 @@ class Scheme(Protocol):
     @property
     def W(self) -> int: ...
 
+    @property
+    def transmit_channels(self) -> np.ndarray | None:
+        """Each node's one transmit channel, (K,) in 1..W, when the scheme
+        fixes it; None when a node may transmit on any channel."""
+        ...
+
     def max_slots(self, requested: int | None) -> int:
         """The campaign's slot cap: requested, or the scheme's default
         when None; ValueError for a cap the scheme cannot use."""
@@ -63,6 +69,10 @@ class SequenceScheme:
     @property
     def W(self) -> int:
         return self.sset.W
+
+    @property
+    def transmit_channels(self) -> np.ndarray:
+        return np.array(self.sset.division.assignment)  # each node's owner group
 
     def max_slots(self, requested: int | None) -> int:
         if requested is None:
@@ -206,6 +216,10 @@ class AssignTRandomScheme(_DrawnScheme):
 
     params: AssignTRandomParams
 
+    @cached_property
+    def transmit_channels(self) -> np.ndarray:
+        return np.array(GroupDivision.even(self.params.K, self.params.W).assignment)
+
     def _band_rule(self) -> Callable[[float], int]:
         p_b, q_1, q_2, W = self.params.p_b, self.params.q_1, self.params.q_2, self.params.W
 
@@ -227,8 +241,7 @@ class AssignTRandomScheme(_DrawnScheme):
         W = self.params.W
         table = np.array([[c, -c] + [-m for m in range(1, W + 1) if m != c]
                           for c in range(1, W + 1)], dtype=np.int16)
-        own = np.array(GroupDivision.even(self.params.K, W).assignment)
-        return table, own - 1
+        return table, self.transmit_channels - 1
 
 
 @dataclass(frozen=True)
@@ -237,6 +250,8 @@ class GeneralRandomScheme(_DrawnScheme):
     W..2W-1 receive on channels 1..W (q_a each)."""
 
     params: GeneralRandomParams
+
+    transmit_channels = None  # a node may transmit on any channel
 
     def _band_rule(self) -> Callable[[float], int]:
         p_a, q_a, W = self.params.p_a, self.params.q_a, self.params.W
@@ -328,7 +343,8 @@ def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
     times = np.empty(n, dtype=np.int64)
     censored = np.empty(n, dtype=bool)
     pair_tables = [] if config.record_pairs else None
-    for ids, first in kernel.run_batches(actions, n, K, config.W, max_slots):
+    for ids, first in kernel.run_batches(actions, n, K, config.W, max_slots,
+                                         config.scheme.transmit_channels):
         served = first[:, off_diag]
         pending = (served < 0).any(axis=1)
         # a one-node set has no pair to serve and completes at time 0

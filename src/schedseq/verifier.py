@@ -320,7 +320,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     UNKNOWN sample came before it.
     """
     rng = np.random.default_rng(seed)
-    codes = sset.codes_matrix()
+    codes, channel = sset.codes_matrix(), np.array(sset.division.assignment)
     K, L = sset.K, sset.L
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
     for d in range(stop):
@@ -329,7 +329,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
         if d < first:
             continue
         actions = kernel.cyclic_reads(codes, taus)
-        for ids, got in kernel.run_batches(actions, len(taus), K, sset.W, L):
+        for ids, got in kernel.run_batches(actions, len(taus), K, sset.W, L, channel):
             bad = ((got < 0) & off_diag).reshape(ids.size, K * K)
             failed = bad.any(axis=1)
             if failed.any():
@@ -446,14 +446,14 @@ def lower_bound(W: int, k: int, M: int, K: int,
 def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
     """Constructed period over combined lower bound, rounded to 2 decimals.
 
-    Evaluated under even division with W = M; cells with M above the
-    channel-count threshold are skipped, and so are cells whose bound is 0
-    (K = M = 1), as `schedseq bound` leaves out their ratio.
+    Evaluated under even division with W = M; cells with M above K or above
+    the channel-count threshold are skipped, and so are cells whose bound
+    is 0 (K = M = 1), as `schedseq bound` leaves out their ratio.
     """
     out: dict[tuple[int, int], float] = {}
     for M in Ms:
         for K in Ks:
-            if M > m_prime(K):
+            if M > min(K, m_prime(K)):
                 continue
             params = select_params(K, M, M)
             bound = max(period_bounds(M, params.division.k_min))

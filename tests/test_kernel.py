@@ -70,11 +70,11 @@ class TestFirstDelivery:
             assert (every_row(actions, 2) == -1).all()
 
     def test_more_transmitters_than_a_byte_counts(self):
-        # 257 transmitters in slot 5 collide (a uint8 count would wrap to
-        # 1); node 0 alone in slot 9 reaches everyone
-        K = 257
+        # 257 transmitters in slot 5 collide while node 257 listens (a uint8
+        # count would wrap to 1); node 0 alone in slot 9 reaches everyone
+        K = 258
         actions = -np.ones((1, K, 64), dtype=np.int16)
-        actions[0, :, 5] = 1
+        actions[0, :-1, 5] = 1
         actions[0, 0, 9] = 1
         first = every_row(actions, 1)[0]
         assert np.array_equal(first, brute_force_first_success(actions[0]))
@@ -88,6 +88,133 @@ class TestFirstDelivery:
         first = every_row(actions, 2)[0]
         assert first[0, 1] == 66
         assert first[0, 2] == -1 and (first[1:] == -1).all()
+
+
+def own_channel_actions(rng, R: int, K: int, channel: np.ndarray, W: int,
+                        T: int) -> np.ndarray:
+    """Rows in which node x transmits only on channel[x] and listens to any
+    of the W channels, with idle slots, plus one column where every node
+    transmits and one where all listen to channel 1."""
+    send = rng.random((R, K, T)) < rng.uniform(0.05, 0.6)
+    actions = np.where(send, channel[:, None], -rng.integers(1, W + 1, size=(R, K, T)))
+    actions[rng.random((R, K, T)) < 0.05] = 0
+    if T > 2:
+        actions[:, :, 1] = channel
+        actions[:, :, 2] = -1
+    return actions.astype(np.int16)
+
+
+def rows_of(R: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.divmod(np.arange(R * K), K)
+
+
+class TestOneLayer:
+    """first_delivery with each node's one transmit channel given."""
+
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 512])
+    def test_matches_slot_replay_and_the_channel_loop(self, T):
+        rng = np.random.default_rng(100 + T)
+        for _ in range(12):
+            K, W = int(rng.integers(2, 14)), int(rng.integers(1, 5))
+            channel = rng.integers(1, W + 1, size=K)
+            actions = own_channel_actions(rng, 3, K, channel, W, T)
+            pos, tx = rows_of(3, K)
+            got = kernel.first_delivery(actions, W, pos, tx, channel)
+            assert np.array_equal(got, kernel.first_delivery(actions, W, pos, tx)), (K, W)
+            got = got.reshape(3, K, K)
+            for r in range(3):
+                assert np.array_equal(got[r], brute_force_first_success(actions[r])), (K, W)
+
+    def test_one_channel(self):
+        rng = np.random.default_rng(1)
+        K, T = 9, 200
+        channel = np.ones(K, dtype=np.int64)
+        actions = own_channel_actions(rng, 2, K, channel, 1, T)
+        pos, tx = rows_of(2, K)
+        got = kernel.first_delivery(actions, 1, pos, tx, channel).reshape(2, K, K)
+        for r in range(2):
+            assert np.array_equal(got[r], brute_force_first_success(actions[r]))
+        assert (got >= 0).any()
+
+    def test_a_channel_without_nodes(self):
+        # nobody owns channel 2, though some nodes listen to it
+        rng = np.random.default_rng(2)
+        K, W, T = 8, 3, 130
+        channel = rng.choice([1, 3], size=K)
+        channel[:2] = [1, 3]
+        actions = own_channel_actions(rng, 3, K, channel, W, T)
+        assert (actions == -2).any()
+        pos, tx = rows_of(3, K)
+        got = kernel.first_delivery(actions, W, pos, tx, channel)
+        assert np.array_equal(got, kernel.first_delivery(actions, W, pos, tx))
+        for r in range(3):
+            assert np.array_equal(got.reshape(3, K, K)[r],
+                                  brute_force_first_success(actions[r]))
+
+    def test_more_transmitters_than_a_byte_counts(self):
+        # 257 nodes on two channels; in slot 5 all 129 of channel 1 transmit
+        # in run 0, and every node in run 1
+        rng = np.random.default_rng(3)
+        K, T = 257, 64
+        channel = np.ones(K, dtype=np.int64)
+        channel[1::2] = 2
+        actions = own_channel_actions(rng, 2, K, channel, 2, T)
+        actions[0, :, 5] = np.where(channel == 1, 1, -1)
+        actions[1, :, 5] = channel
+        pos, tx = rows_of(2, K)
+        got = kernel.first_delivery(actions, 2, pos, tx, channel)
+        assert np.array_equal(got, kernel.first_delivery(actions, 2, pos, tx))
+        for r in range(2):
+            assert np.array_equal(got.reshape(2, K, K)[r],
+                                  brute_force_first_success(actions[r]))
+        # 258 nodes on one channel: 257 collide in slot 5 while the last
+        # listens (a uint8 count would wrap to 1); node 0 alone in slot 9
+        # reaches everyone
+        K = 258
+        channel = np.ones(K, dtype=np.int64)
+        actions = -np.ones((1, K, T), dtype=np.int16)
+        actions[0, :-1, 5] = 1
+        actions[0, 0, 9] = 1
+        first = kernel.first_delivery(actions, 1, *rows_of(1, K), channel)
+        assert np.array_equal(first, brute_force_first_success(actions[0]))
+        assert (first[0, 1:] == 9).all() and (first[1:] == -1).all()
+
+    def test_some_rows_equal_those_rows_of_all(self):
+        # rows in any order, repeated, and of a subset of the runs
+        rng = np.random.default_rng(4)
+        K, W, T = 6, 3, 130
+        channel = np.array([1, 2, 3, 1, 2, 3])
+        actions = own_channel_actions(rng, 4, K, channel, W, T)
+        full = kernel.first_delivery(actions, W, *rows_of(4, K), channel).reshape(4, K, K)
+        pos = np.array([3, 0, 3, 2, 2])
+        tx = np.array([5, 0, 1, 4, 4])
+        got = kernel.first_delivery(actions, W, pos, tx, channel)
+        assert np.array_equal(got, full[pos, tx])
+        assert kernel.first_delivery(actions, W, pos[:0], tx[:0], channel).shape == (0, K)
+
+    @pytest.mark.parametrize("channel", [None, np.array([1, 2])], ids=["loop", "one-layer"])
+    def test_refuses_more_than_a_chunk(self, channel):
+        actions = -np.ones((1, 2, kernel.CHUNK_SLOTS + 1), dtype=np.int16)
+        with pytest.raises(ValueError, match="at most 512 slots"):
+            kernel.first_delivery(actions, 2, *rows_of(1, 2), channel)
+
+    @pytest.mark.parametrize("K", [2, 18, 150])
+    @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
+    def test_one_batch_fits_its_budget(self, K, one_layer):
+        # the first chunk of a full batch, every row pending, with as many
+        # channels as nodes: the traced peak stays within run_bytes per run
+        rng = np.random.default_rng(K)
+        R, W = kernel.batch_runs(K), K
+        channel = rng.integers(1, W + 1, size=K)
+        actions = own_channel_actions(rng, R, K, channel, W, kernel.CHUNK_SLOTS)
+        pos, tx = rows_of(R, K)
+        tracemalloc.start()
+        try:
+            kernel.first_delivery(actions, W, pos, tx, channel if one_layer else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert actions.nbytes + peak <= R * kernel.run_bytes(K), (peak, R)
 
 
 def staggered_table(rng, R: int, K: int, W: int, slots: int) -> np.ndarray:
@@ -142,10 +269,10 @@ class TestChunkLoop:
             requests.append((t0, asked.tolist()))
             return runs[asked, :, t0:t0 + T]
 
-        def logged(actions, W, pos, tx):
+        def logged(actions, W, pos, tx, channel=None):
             asked = np.searchsorted(ids, requests[-1][1])  # batch positions
             evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
-            return first_delivery(actions, W, pos, tx)
+            return first_delivery(actions, W, pos, tx, channel)
 
         first_delivery = kernel.first_delivery
         monkeypatch.setattr(kernel, "first_delivery", logged)

@@ -454,6 +454,35 @@ class TestRandomStreamsPinned:
         assert tuple(res.completion_times.tolist()) == want
 
 
+class TestTransmitChannels:
+    """A scheme's transmit_channels, which the kernel trusts, against the
+    actions the scheme itself produces."""
+
+    @pytest.mark.parametrize("K, M, W", [(4, 2, 2), (9, 3, 3), (18, 3, 1), (18, 3, 3)])
+    def test_sequence_codes_send_on_the_owner_group(self, K, M, W):
+        sset = build_schedule_set(K, M, W=W)
+        channel = SequenceScheme(sset).transmit_channels
+        assert channel.tolist() == list(sset.division.assignment)
+        codes = sset.codes_matrix()
+        sends = codes > 0
+        assert sends.any(axis=1).all()
+        assert (codes == channel[:, None])[sends].all()
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_assign_t_chunk_sends_on_the_own_channel(self, W):
+        K = 18
+        scheme = drawn_scheme("assign_t", W, K, optimize_random(W, K, "assign_t")[0])
+        channel = scheme.transmit_channels
+        assert channel.tolist() == [x % W + 1 for x in range(K)]  # even division
+        actions = scheme.action_source(5, range(4), "uniform")(np.arange(4), 0, CHUNK_SLOTS)
+        sends = actions > 0
+        assert sends.any(axis=2).all()  # every node of every run sends in the chunk
+        assert (actions == channel[:, None])[sends].all()
+
+    def test_general_scheme_fixes_no_channel(self):
+        assert drawn_scheme("general", 3, 18, 0.01).transmit_channels is None
+
+
 class TestActionMemory:
     @pytest.mark.parametrize("K", [4, 18, 150])
     @pytest.mark.parametrize("kind", ["assign_t", "general"])

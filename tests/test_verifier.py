@@ -807,6 +807,11 @@ class TestRatioTable:
         assert lower_bound(1, 1, 1, 1).combined == 0
         assert ratio_table([1, 2], [1]) == {(2, 1): 1.5}
 
+    def test_skips_more_channels_than_nodes(self):
+        # m_prime(1) is 2, so only M > K keeps (1, 2) out of the table
+        assert ratio_table([1, 2, 3], [1, 2]) == {
+            (2, 1): 1.5, (3, 1): 1.88, (2, 2): 15.0, (3, 2): 15.0}
+
 
 class TestAppendixF:
     def test_known_values(self):
