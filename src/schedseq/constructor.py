@@ -119,6 +119,9 @@ class ConstructionParams:
             raise ValueError("division does not match K and W")
         if self.Lprime != self.p * self.q:
             raise ValueError("Lprime must equal p*q")
+        if len(self.deltas) != self.W:
+            raise ValueError(f"need W={self.W} deltas, got {len(self.deltas)}")
+        self.ui_params  # w, p and q must pass CrtUiParams' own rule
         if self.W >= 2:
             if math.gcd(2 * self.W, self.Lprime) != 1:
                 raise ValueError("2W must be coprime with p*q")

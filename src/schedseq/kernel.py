@@ -97,16 +97,16 @@ def _channel_layers(actions: np.ndarray, W: int, pos: np.ndarray,
     at a time: its clean transmit slots against its receive slots."""
     R, K, T = actions.shape
     count_dtype = np.min_scalar_type(K)  # holds a count of up to K transmitters
+    row_actions = actions[pos, tx]
     hits = np.zeros((pos.size, K, T // 64), dtype=np.uint64)
+    got = np.empty_like(hits)
     for m in range(1, W + 1):
-        on_m = actions == m
-        clean = np.add.reduce(on_m, axis=1, dtype=count_dtype) == 1
-        on_m &= clean[:, None, :]
-        txw = _pack(on_m)[pos, tx]
-        p = np.flatnonzero(txw.any(axis=1))  # rows with a clean slot on m
-        if p.size:
-            rxw = _pack(actions == -m)
-            hits[p] |= txw[p][:, None, :] & rxw[pos[p]]
+        clean = np.add.reduce(actions == m, axis=1, dtype=count_dtype) == 1
+        sends = _pack((row_actions == m) & clean[pos])
+        # mode="clip" writes straight into got; the default buffers a copy
+        np.take(_pack(actions == -m), pos, axis=0, out=got, mode="clip")
+        got &= sends[:, None, :]
+        hits |= got
     return hits
 
 

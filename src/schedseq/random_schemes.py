@@ -9,6 +9,7 @@ needed to hit a target all-to-all completion probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -80,6 +81,22 @@ def p_success_assignT(W: int, K: int, p_b: float) -> float:
     return p_b * (1 - p_b) ** (K / W) / (W - p_b)
 
 
+def bisect_step(above: Callable[[float], bool], lo: float, hi: float
+                ) -> tuple[float, float]:
+    """Adjacent doubles a < b in [lo, hi] that bracket the step of a
+    predicate false below some point and true from it on: above(a) is
+    false unless a = lo, and above(b) true unless b = hi.  The predicate is
+    only evaluated strictly between lo and hi."""
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = (lo + hi) / 2
+    return lo, hi
+
+
 def optimize_random(W: int, K: int, scheme: str = "general") -> tuple[float, float]:
     """Best transmit probability and success probability for a scheme.
 
@@ -105,15 +122,9 @@ def optimize_random(W: int, K: int, scheme: str = "general") -> tuple[float, flo
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    a, b = 0.0, hi
-    mid = hi / 2
-    while a < mid < b:
-        if dlogf(mid) > 0:
-            a = mid
-        else:
-            b = mid
-        mid = (a + b) / 2
-    return mid, success(W, K, mid)
+    a, b = bisect_step(lambda p: not dlogf(p) > 0, 0.0, hi)
+    p = (a + b) / 2
+    return p, success(W, K, p)
 
 
 def optimal_single_channel(K: int) -> tuple[float, float]:

@@ -9,7 +9,6 @@ and reports that broadcast completion time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Protocol
@@ -19,7 +18,7 @@ import numpy as np
 from . import kernel
 from .constructor import ScheduleSequenceSet
 from .pool import map_ranges
-from .random_schemes import AssignTRandomParams, GeneralRandomParams, frame_length
+from .random_schemes import AssignTRandomParams, GeneralRandomParams, bisect_step, frame_length
 from .seqcore import GroupDivision, OffsetVector
 
 
@@ -97,39 +96,12 @@ class SequenceScheme:
         return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
 
 
-# How many ulps from its float band sum _band_edge looks for an edge
-# before it bisects.
-_EDGE_WINDOW = 16
-
-
-def _band_edge(band: Callable[[float], int], k: int, guess: float) -> float:
+def _band_edge(band: Callable[[float], int], k: int) -> float:
     """The smallest double u in [0, 1) with band(u) >= k, or 1.0 when there
-    is none, for a nondecreasing band(u) on [0, 1].  The search starts at
-    guess, a float sum of band probabilities, and walks ulp by ulp; it
-    bisects over the bit patterns of [0, 1], which order as the doubles do,
-    only if the edge is not within _EDGE_WINDOW ulps."""
-    u = min(max(guess, 0.0), 1.0)
-    if band(u) >= k:
-        for _ in range(_EDGE_WINDOW):
-            if band(below := math.nextafter(u, 0.0)) < k:
-                return u
-            u = below
-    else:
-        for _ in range(_EDGE_WINDOW):
-            u = math.nextafter(u, 1.0)
-            if band(u) >= k:
-                return u
+    is none, for a nondecreasing band(u) on [0, 1]."""
     if band(0.0) >= k:
         return 0.0
-    # band(lo) < k; hi reaches k, or is 1.0
-    lo, hi = 0, int(np.float64(1.0).view(np.int64))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if band(float(np.int64(mid).view(np.float64))) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return float(np.int64(hi).view(np.float64))
+    return bisect_step(lambda u: band(u) >= k, 0.0, 1.0)[1]
 
 
 class _DrawnScheme:
@@ -159,8 +131,7 @@ class _DrawnScheme:
     @cached_property
     def _edges(self) -> tuple[float, ...]:
         band = self._band_rule()
-        return tuple(_band_edge(band, k, guess)
-                     for k, guess in enumerate(self._band_sums(), 1))
+        return tuple(_band_edge(band, k) for k in range(1, self._code_table()[0].shape[1]))
 
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,10 +203,6 @@ class AssignTRandomScheme(_DrawnScheme):
             return 2 + int(min(tail / q_2, W - 2))  # the last band takes rounding up to 1
         return band
 
-    def _band_sums(self) -> list[float]:
-        p = self.params
-        return [p.p_b] + [p.p_b + p.q_1 + j * p.q_2 for j in range(p.W - 1)]
-
     def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Row c - 1 holds the codes of the nodes whose own channel is c."""
         W = self.params.W
@@ -261,11 +228,6 @@ class GeneralRandomScheme(_DrawnScheme):
                 return int(min(u / p_a, W - 1))
             return W + int(min((u - W * p_a) / q_a, W - 1))
         return band
-
-    def _band_sums(self) -> list[float]:
-        p = self.params
-        return ([m * p.p_a for m in range(1, p.W + 1)]
-                + [p.W * p.p_a + m * p.q_a for m in range(1, p.W)])
 
     def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
         W = self.params.W

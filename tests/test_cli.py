@@ -241,6 +241,26 @@ class _CodecCases(_SchemaDocs):
         with pytest.raises(SequenceSetFormatError, match="must be an integer"):
             set_from_doc(doc)
 
+    @pytest.mark.parametrize("change", ["short-deltas", "long-deltas", "zero-weight"])
+    def test_rejects_params_that_do_not_fit_the_set(self, capsys, tmp_path, change):
+        # deltas shorter than W once crashed verify --in with an IndexError
+        doc = self.doc(build_schedule_set(4, 2, W=2))
+        params = doc["params"]
+        if change == "short-deltas":
+            params["deltas"] = params["deltas"][:-1]
+        elif change == "long-deltas":
+            params["deltas"].append(0)
+        else:
+            params["w"] = 0
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SequenceSetFormatError, match="bad construction params"):
+            load_set(str(path))
+        out = str(tmp_path / "times.csv")
+        for argv in (["verify"], ["simulate", "--runs", "1", "--out", out]):
+            code, _, err = run_cli(capsys, *argv, "--in", str(path))
+            assert code == 1 and err.startswith("error: bad construction params"), argv
+
     @pytest.mark.parametrize("version", [None, "", "3", 2, 1])
     def test_rejects_missing_or_unknown_version(self, three_node_set, version):
         doc = self.doc(three_node_set)

@@ -42,8 +42,10 @@ class TestFirstDelivery:
     @pytest.mark.parametrize("T", [1, 63, 64, 65, 512])
     def test_matches_slot_replay(self, T):
         rng = np.random.default_rng(T)
-        for _ in range(12):
-            K, W = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+        for n in range(18):
+            K = int(rng.integers(2, 13))
+            # the last six have as many channels as nodes, or two more
+            W = int(rng.integers(1, 5)) if n < 12 else K + 2 * (n % 2)
             actions = random_actions(rng, 3, K, W, T)
             got = every_row(actions, W)
             for r in range(3):
@@ -52,14 +54,16 @@ class TestFirstDelivery:
     def test_some_rows_equal_those_rows_of_all(self):
         # rows in any order, repeated, and of a subset of the runs
         rng = np.random.default_rng(5)
-        K, W, T = 6, 3, 130
-        actions = random_actions(rng, 4, K, W, T)
-        full = every_row(actions, W)
+        K, T = 6, 130
         pos = np.array([3, 0, 3, 2, 2])
         tx = np.array([5, 0, 1, 4, 4])
-        got = kernel.first_delivery(actions, W, pos, tx)
-        assert np.array_equal(got, full[pos, tx])
-        assert kernel.first_delivery(actions, W, pos[:0], tx[:0]).shape == (0, K)
+        for W in (3, K, K + 2):
+            actions = random_actions(rng, 4, K, W, T)
+            want = np.stack([brute_force_first_success(a) for a in actions])
+            assert np.array_equal(every_row(actions, W), want), W
+            got = kernel.first_delivery(actions, W, pos, tx)
+            assert np.array_equal(got, want[pos, tx]), W
+            assert kernel.first_delivery(actions, W, pos[:0], tx[:0]).shape == (0, K)
 
     def test_collision_and_silence_deliver_nothing(self):
         K, T = 5, 70

@@ -7,6 +7,7 @@ from schedseq.random_schemes import (
     AssignTRandomParams,
     CouponModel,
     GeneralRandomParams,
+    bisect_step,
     coupon_cdf,
     frame_length,
     group_cdf,
@@ -122,6 +123,28 @@ class TestSuccessProbabilities:
             AssignTRandomParams(2, 10, 1.0)
         with pytest.raises(ValueError):
             AssignTRandomParams(0, 10, 0.1)
+
+
+class TestBisectStep:
+    @pytest.mark.parametrize("lo,hi,step", [
+        (0.0, 1.0, 0.3),
+        (0.0, 1.0, 5e-324),        # the smallest subnormal
+        (0.0, 1.0, 0.0),           # true everywhere inside
+        (0.0, 1.0, 2.0),           # true nowhere inside
+        (0.25, 0.5, 0.4),
+        (0.5, float(np.nextafter(0.5, 1.0)), 0.0),  # nothing lies between
+    ])
+    def test_adjacent_doubles_around_the_step(self, lo, hi, step):
+        seen = []
+
+        def above(x: float) -> bool:
+            seen.append(x)
+            return x >= step
+        a, b = bisect_step(above, lo, hi)
+        assert all(lo < x < hi for x in seen)
+        assert lo <= a < b <= hi and np.nextafter(a, 2.0) == b
+        assert a == lo or a < step
+        assert b == hi or b >= step
 
 
 class TestOptimizeRandom:
