@@ -69,18 +69,26 @@ class VerificationReport:
     witness: Witness | None = None
 
 
-def _pair_masks(sset: ScheduleSequenceSet, i: int, j: int):
-    """i's transmit mask on its group's channel, j's receive mask for that
-    channel, and the colliders (the rest of i's group) with their transmit
-    masks, read off the pair's own sequences."""
-    if i == j:
+def _sender_masks(sset: ScheduleSequenceSet, i: int, receivers):
+    """i's transmit mask on its group's channel, the transmit masks of the
+    rest of i's group by node (a pair's colliders, less its receiver), and
+    each receiver's receive mask for that channel, made as it is read."""
+    if i in receivers:
         raise ValueError("transmitter and receiver must differ")
     seqs = sset.sequences
     m = seqs[i - 1].owner_group
-    colliders = [x for x, s in enumerate(seqs, start=1)
-                 if s.owner_group == m and x not in (i, j)]
-    return (seqs[i - 1].codes == m, seqs[j - 1].codes == -m, colliders,
-            [seqs[x - 1].codes == m for x in colliders])
+    group = {x: s.codes == m for x, s in enumerate(seqs, start=1)
+             if s.owner_group == m and x != i}
+    return seqs[i - 1].codes == m, group, (seqs[j - 1].codes == -m for j in receivers)
+
+
+def _pair_masks(sset: ScheduleSequenceSet, i: int, j: int):
+    """i's transmit mask, j's receive mask, and the colliders (the rest of
+    i's group) with their transmit masks, read off the pair's own
+    sequences."""
+    ti, group, (rj,) = _sender_masks(sset, i, (j,))
+    colliders = [x for x in group if x != j]
+    return ti, rj, colliders, [group[x] for x in colliders]
 
 
 def _shift_table(mask: np.ndarray) -> np.ndarray:
@@ -184,8 +192,9 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     receive = _shift_table(rj)
     heard = _distinct_shifts(receive, T, blocks)
     # a pair without colliders is checked against one that never transmits,
-    # whose offset zip(colliders, ...) leaves out of the witness
-    tables = [_shift_table(t) for t in tx] or [_shift_table(np.zeros(L, dtype=bool))]
+    # a table of one empty row whose offset zip(colliders, ...) leaves out
+    # of the witness
+    tables = [_shift_table(t) for t in tx] or [np.zeros((1, L), dtype=bool)]
     shifts = [_distinct_shifts(table, T, blocks) for table in tables]
     for combo in itertools.product(*(s.tolist() for s in shifts[:-1])):
         free = np.ones(T.size, dtype=bool)
@@ -210,54 +219,82 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     subtracts, per collider, the largest number of those match slots it
     could cover at any shift.  A positive remainder everywhere proves the
     pair; otherwise the answer is UNKNOWN (never a refutation, since the
-    colliders cannot in general realize all maxima simultaneously).  A
-    collider's worst case at a block of receiver offsets is the row
-    maximum of the match rows times its shift table, both read only on
-    i's transmit slots T, where every match lies.
+    colliders cannot in general realize all maxima simultaneously).  This
+    is the one-receiver sweep of _conservative_sweep.
     """
-    ti, rj, _, tx = _pair_masks(sset, i, j)
+    unproven = _conservative_sweep(sset, i, (j,)) is not None
+    return VerificationReport(Verdict.UNKNOWN if unproven else Verdict.PROVEN_CONSERVATIVE,
+                              Method.CONSERVATIVE, pairs_checked=1)
+
+
+def _conservative_sweep(sset: ScheduleSequenceSet, i: int, receivers) -> int | None:
+    """Position in receivers of the first j whose pair (i, j) the
+    conservative check cannot prove; None when it proves them all.
+
+    i's transmit slots T and the shift tables of its group are made once
+    for the sweep.  Every match lies in T, so both the receiver's match
+    rows and the colliders' shift tables are read on T alone, where a
+    collider's table takes few distinct rows (patterns).  Its distinct
+    offsets are found once, when the first receiver that has it as a
+    collider needs them, and its worst case at a block of receiver offsets
+    is the column maximum of its patterns times the match rows, the
+    patterns made one row block at a time.
+    """
+    ti, group, receive_masks = _sender_masks(sset, i, receivers)
     T = np.flatnonzero(ti)
     blocks = _axis_blocks(sset.L)
-    receive = _shift_table(rj)
-    colliders = [_shift_table(t) for t in tx]
-    for rows in blocks:
-        match = receive[rows][:, T]
-        slack = np.count_nonzero(match, axis=1)
-        match = match.astype(np.float32)
-        for table in colliders:
+    tables = {x: _shift_table(t) for x, t in group.items()}
+    shifts = {}
+    for n, (j, rj) in enumerate(zip(receivers, receive_masks)):
+        receive = _shift_table(rj)
+        colliders = [x for x in tables if x != j]
+        for rows in blocks:
+            match = receive[rows][:, T]
+            slack = np.count_nonzero(match, axis=1)
+            match = match.T.astype(np.float32)
+            for x in colliders:
+                if (slack < 1).any():
+                    break
+                if x not in shifts:
+                    shifts[x] = _distinct_shifts(tables[x], T, blocks)
+                worst = np.maximum.reduce(
+                    [(block.astype(np.float32) @ match).max(axis=0)
+                     for _, block in _patterns(tables[x], shifts[x], T, blocks)])
+                slack = slack - worst.astype(np.int64)
             if (slack < 1).any():
-                break
-            worst = np.maximum.reduce(
-                [(match @ table[b][:, T].astype(np.float32).T).max(axis=1) for b in blocks])
-            slack = slack - worst.astype(np.int64)
-        if (slack < 1).any():
-            return VerificationReport(Verdict.UNKNOWN, Method.CONSERVATIVE, pairs_checked=1)
-    return VerificationReport(Verdict.PROVEN_CONSERVATIVE, Method.CONSERVATIVE, pairs_checked=1)
+                return n
+    return None
 
 
 def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
                  first: int, stop: int):
     """Check ordered pairs [first, stop) up to the first decisive one.
     Pairs are numbered in row-major (transmitter, receiver) order without
-    the diagonal, so pair n has transmitter n // (K-1) + 1.
+    the diagonal, so pair n has transmitter n // (K-1) + 1; the range is
+    walked one transmitter at a time.
 
     A failed pair decides either method; an UNKNOWN pair decides the
     conservative method, which never refutes.  Returns the decisive pair's
     (n, verdict, witness) or None, and whether an UNKNOWN pair came
     before it.
     """
-    if method is Method.EXHAUSTIVE:
-        check = functools.partial(check_pair_exhaustive, budget=budget)
-        decisive = Verdict.FAILED_WITH_WITNESS
-    else:
-        check, decisive = check_pair_conservative, Verdict.UNKNOWN
     unknown = False
-    for n in range(first, stop):
+    n = first
+    while n < stop:
         i, r = divmod(n, sset.K - 1)
-        report = check(sset, i + 1, r + 1 + (r >= i))
-        if report.verdict is decisive:
-            return (n, report.verdict, report.witness), unknown
-        unknown |= report.verdict is Verdict.UNKNOWN
+        end = min(stop, n - r + sset.K - 1)
+        receivers = [s + 1 + (s >= i) for s in range(r, r + end - n)]
+        if method is Method.CONSERVATIVE:
+            hit = _conservative_sweep(sset, i + 1, receivers)
+            if hit is not None:
+                return (n + hit, Verdict.UNKNOWN, None), False
+        else:
+            for k, j in enumerate(receivers):
+                report = check_pair_exhaustive(sset, i + 1, j, budget)
+                if report.verdict is Verdict.FAILED_WITH_WITNESS:
+                    return (n + k, report.verdict, report.witness), unknown
+                unknown |= report.verdict is Verdict.UNKNOWN
+        n = end
     return None, unknown
 
 

@@ -7,6 +7,8 @@ so the tests compare two genuinely different routes to the same answer.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from schedseq.constructor import ScheduleSequenceSet
@@ -132,8 +134,10 @@ def conservative_slack(sset: ScheduleSequenceSet, i: int, j: int) -> int:
     """Least slack of the conservative check over all receiver offsets.
 
     For each receiver offset: the transmit/receive match slots, minus per
-    collider the most of them it covers at any one shift, by direct sums
-    over slots and shifts.  The check proves the pair when this is >= 1.
+    collider the most of them it covers at any one shift, by direct counts
+    over slots and shifts: each pair of a match slot t and a collider send
+    slot s counts for the one shift (s - t) mod L that aligns them.  The
+    check proves the pair when this is >= 1.
     """
     division = sset.division
     m = division.group_of(i)
@@ -141,14 +145,14 @@ def conservative_slack(sset: ScheduleSequenceSet, i: int, j: int) -> int:
     codes = [[int(c) for c in s.codes] for s in sset.sequences]
     tx_i = [c == m for c in codes[i - 1]]
     rx_j = [c == -m for c in codes[j - 1]]
-    colliders = [[c == m for c in codes[x - 1]]
+    colliders = [[t for t, c in enumerate(codes[x - 1]) if c == m]
                  for x in division.members(m) if x not in (i, j)]
     least = None
     for tau_j in range(L):
-        match = [tx_i[t] and rx_j[(t + tau_j) % L] for t in range(L)]
-        slack = sum(match)
-        for tx in colliders:
-            slack -= max(sum(1 for t in range(L) if match[t] and tx[(t + tau_x) % L])
-                         for tau_x in range(L))
+        match = [t for t in range(L) if tx_i[t] and rx_j[(t + tau_j) % L]]
+        slack = len(match)
+        for sends in colliders:
+            covered = Counter((s - t) % L for t in match for s in sends)
+            slack -= max(covered.values(), default=0)
         least = slack if least is None else min(least, slack)
     return least

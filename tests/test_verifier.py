@@ -47,17 +47,20 @@ def with_codes(sset: ScheduleSequenceSet, codes) -> ScheduleSequenceSet:
         ScheduleSequence(row, s.owner_group) for row, s in zip(codes, sset.sequences)))
 
 
-def one_slot_mutations(sset: ScheduleSequenceSet, count: int, seed: int):
-    """count sets that each differ from sset in one slot of one node, which
-    there transmits on its own channel or listens to another channel."""
+def slot_mutations(sset: ScheduleSequenceSet, count: int, seed: int, slots: int = 1):
+    """count sets that each differ from sset in `slots` draws of one slot of
+    one node, which there transmits on its own channel or listens to
+    another channel (a later draw may redo an earlier one's slot)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         codes = sset.codes_matrix().copy()
-        x, t = int(rng.integers(sset.K)), int(rng.integers(sset.L))
-        own = sset.sequences[x].owner_group
-        choices = [c for c in [own] + [-m for m in range(1, sset.W + 1)] if c != codes[x, t]]
-        codes[x, t] = choices[int(rng.integers(len(choices)))]
+        for _ in range(slots):
+            x, t = int(rng.integers(sset.K)), int(rng.integers(sset.L))
+            own = sset.sequences[x].owner_group
+            choices = [c for c in [own] + [-m for m in range(1, sset.W + 1)]
+                       if c != codes[x, t]]
+            codes[x, t] = choices[int(rng.integers(len(choices)))]
         out.append(with_codes(sset, codes))
     return out
 
@@ -66,12 +69,13 @@ def ordered_pairs(K: int):
     return [(i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j]
 
 
-def partly_deaf_k5(keep: int) -> ScheduleSequenceSet:
-    """build_schedule_set(5, 2, W=2) with node 2 hearing channel 1 in only
-    its first `keep` such slots and listening to channel 2 in the others."""
+def partly_deaf_k5(keep: int, x: int = 2, m: int = 1) -> ScheduleSequenceSet:
+    """build_schedule_set(5, 2, W=2) with node x hearing channel m in only
+    its first `keep` such slots and listening to the other channel in the
+    others."""
     sset = build_schedule_set(5, 2, W=2)
     codes = sset.codes_matrix().copy()
-    codes[1][np.flatnonzero(codes[1] == -1)[keep:]] = -2
+    codes[x - 1][np.flatnonzero(codes[x - 1] == -m)[keep:]] = m - 3
     return with_codes(sset, codes)
 
 
@@ -209,33 +213,55 @@ def check_against_oracles(sets, rng) -> int:
     return refuted
 
 
+def assert_sweeps_match(sset: ScheduleSequenceSet, proven: list[bool]) -> None:
+    """The conservative check over pair ranges that start and end anywhere,
+    partway through a transmitter's receivers too, stops at the first pair
+    that `proven` (one verdict a pair, in pair order) does not prove."""
+    P = len(proven)
+    ranges = {(0, stop) for stop in range(1, P + 1)}
+    ranges |= {(first, stop) for first in range(P)
+               for stop in (first + 1, min(P, first + sset.K - 1), P)}
+    for first, stop in sorted(ranges):
+        want = next((n for n in range(first, stop) if not proven[n]), None)
+        hit = verifier._check_pairs(sset, Method.CONSERVATIVE, 10 ** 9, first, stop)
+        assert hit == (None if want is None else (want, Verdict.UNKNOWN, None), False), \
+            (first, stop)
+
+
 class TestWholeAxisChecks:
     """The matmul pair checks against loop-only oracles, on the sets with
-    K <= 5 and on one-slot mutations of them."""
+    K <= 6 and on one- and multi-slot mutations of them."""
 
     @pytest.mark.parametrize("spec", ["two_node_set", "three_node_set"] + DESK_SETS)
     def test_desk_sets_and_mutations(self, request, spec):
         base = named_set(request, spec)
         seed = sum(map(ord, str(spec)))
-        check_against_oracles([base] + one_slot_mutations(base, 2, seed),
+        check_against_oracles([base] + slot_mutations(base, 2, seed),
                               np.random.default_rng(seed))
 
     def test_mutations_do_refute(self):
         # the comparisons above meet refuted pairs, not only proofs
-        sets = one_slot_mutations(build_schedule_set(4, 2), 4, seed=1)
+        sets = slot_mutations(build_schedule_set(4, 2), 4, seed=1)
         assert check_against_oracles(sets, np.random.default_rng(1)) > 0
 
     @pytest.mark.parametrize("spec", ["two_node_set", "three_node_set", (2, 1, None),
-                                      (3, 2, None), (2, 2, 2), (3, 2, 2), (4, 2, None)])
+                                      (3, 2, None), (2, 2, 2), (3, 2, 2), (4, 2, None),
+                                      (4, 2, 2), (5, 2, None), (6, 3, 3)])
     def test_conservative_matches_the_slack_oracle(self, request, spec):
+        # Each pair alone, and the pair ranges of verify_set's workers, which
+        # the conservative check sweeps one transmitter at a time.
         base = named_set(request, spec)
+        seed = sum(map(ord, str(spec)))
         verdicts = set()
-        for sset in [base] + one_slot_mutations(base, 3, sum(map(ord, str(spec)))):
-            for i, j in ordered_pairs(sset.K):
-                want = conservative_slack(sset, i, j) >= 1
+        for sset in [base, *slot_mutations(base, 3, seed),
+                     *slot_mutations(base, 2, seed + 1, slots=4)]:
+            pairs = ordered_pairs(sset.K)
+            proven = [conservative_slack(sset, i, j) >= 1 for i, j in pairs]
+            for (i, j), want in zip(pairs, proven):
                 got = check_pair_conservative(sset, i, j).verdict
                 assert (got is Verdict.PROVEN_CONSERVATIVE) == want, (i, j)
                 verdicts.add(got)
+            assert_sweeps_match(sset, proven)
         assert Verdict.PROVEN_CONSERVATIVE in verdicts
 
     def test_witness_of_the_offset_loop(self, capsys, tmp_path):
@@ -252,7 +278,7 @@ class TestWholeAxisChecks:
         assert doc["pairs_checked"] == 1
 
     def test_split_axes_give_the_one_block_answer(self, monkeypatch):
-        sets = [partly_deaf_k5(36), *one_slot_mutations(build_schedule_set(5, 2, W=2), 1, seed=3)]
+        sets = [partly_deaf_k5(36), *slot_mutations(build_schedule_set(5, 2, W=2), 1, seed=3)]
 
         def reports(pairs):
             return [(check_pair_exhaustive(s, i, j), check_pair_conservative(s, i, j))
@@ -300,7 +326,7 @@ class TestWitnessOrder:
     def test_small_sets_and_mutations(self, request, spec):
         base = named_set(request, spec)
         assert self.assert_oracle_witnesses(base) == 0
-        for sset in one_slot_mutations(base, 2, sum(map(ord, str(spec)))):
+        for sset in slot_mutations(base, 2, sum(map(ord, str(spec)))):
             self.assert_oracle_witnesses(sset)
 
     @pytest.mark.parametrize("K,W,L", [(3, 2, 9), (4, 2, 8), (4, 2, 12), (5, 2, 7), (4, 1, 6)])
@@ -321,7 +347,7 @@ class TestWitnessOrder:
         # offset is swept, one row a block, and the reports stay the same.
         sets = []
         for base in (three_node_set, build_schedule_set(3, 2, W=2)):
-            sets += [base, *one_slot_mutations(base, 3, seed=base.L)]
+            sets += [base, *slot_mutations(base, 3, seed=base.L)]
         pairs = [(s, i, j) for s in sets for i, j in ordered_pairs(s.K)]
         want = [check_pair_exhaustive(*pair) for pair in pairs]
         assert any(rep.verdict is Verdict.FAILED_WITH_WITNESS for rep in want)
@@ -332,6 +358,25 @@ class TestWitnessOrder:
         assert verifier._distinct_shifts(table, T, verifier._axis_blocks(L)).tolist() == \
             list(range(L))
         assert [check_pair_exhaustive(*pair) for pair in pairs] == want
+
+    def test_a_pair_without_colliders_sweeps_one_empty_row(self, monkeypatch):
+        # A pair without colliders is checked against one that never sends,
+        # a table of one row.  Past the key budget a shift table keeps all
+        # L offsets, here one row a block, so an L-row placeholder would
+        # cost one _first_zero call a row: L^2 work at large L.
+        rng = np.random.default_rng(5)
+        sset = ScheduleSequenceSet(tuple(
+            ScheduleSequence(np.where(rng.random(64) < 0.5, 1, -1).astype(np.int16), 1)
+            for _ in range(2)))
+        want = [check_pair_exhaustive(sset, 1, 2), check_pair_exhaustive(sset, 2, 1)]
+        assert {rep.verdict for rep in want} == {Verdict.PROVEN}
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
+        calls = []
+        first_zero = verifier._first_zero
+        monkeypatch.setattr(verifier, "_first_zero",
+                            lambda *args: calls.append(args) or first_zero(*args))
+        assert [check_pair_exhaustive(sset, 1, 2), check_pair_exhaustive(sset, 2, 1)] == want
+        assert len(calls) == 2
 
     def test_transmitter_without_a_slot(self, three_node_set):
         # node 1 never sends on channel 1 (w = 0): every pair from it fails
@@ -391,10 +436,22 @@ class TestBoundedMemory:
         return ScheduleSequenceSet((ScheduleSequence(talk, 1), ScheduleSequence(talk.copy(), 1),
                                     ScheduleSequence(deaf, 2)))
 
-    def peak_of(self, check, sset):
+    def overflowing_keys(self) -> ScheduleSequenceSet:
+        """One group: nodes 1 and 3 send in the same random 60% of slots and
+        node 2 in another.  Node 1's w slots take L * ceil(w / 8) bytes of
+        keys, past kernel.BATCH_BYTES, so collider 3 keeps all L offsets,
+        and at its offset 0 it covers every match of pair (1, 2)."""
+        rng = np.random.default_rng(11)
+        talk, other = (np.where(rng.random(self.L) < 0.6, 1, -1).astype(np.int16)
+                       for _ in range(2))
+        assert self.L * -(-np.count_nonzero(talk == 1) // 8) > kernel.BATCH_BYTES
+        return ScheduleSequenceSet((ScheduleSequence(talk, 1), ScheduleSequence(other, 1),
+                                    ScheduleSequence(talk.copy(), 1)))
+
+    def peak_of(self, check, *args):
         tracemalloc.start()
         try:
-            report = check(sset, 1, 3)
+            report = check(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,13 +459,19 @@ class TestBoundedMemory:
         return report
 
     def test_exhaustive(self):
-        report = self.peak_of(check_pair_exhaustive, self.deaf_pair())
+        report = self.peak_of(check_pair_exhaustive, self.deaf_pair(), 1, 3)
         assert report.verdict is Verdict.FAILED_WITH_WITNESS
         assert report.witness.offsets == {1: 0, 2: 0, 3: 0}
 
     def test_conservative(self):
-        report = self.peak_of(check_pair_conservative, self.deaf_pair())
+        report = self.peak_of(check_pair_conservative, self.deaf_pair(), 1, 3)
         assert report.verdict is Verdict.UNKNOWN
+
+    @pytest.mark.parametrize("make", ["deaf_pair", "overflowing_keys"])
+    def test_conservative_verify_set(self, make):
+        # the whole sweep, which stops at pair (1, 2) of either set
+        report = self.peak_of(verify_set, getattr(self, make)(), "conservative")
+        assert (report.verdict, report.pairs_checked) == (Verdict.UNKNOWN, 1)
 
     def test_float32_counts_stay_exact(self):
         # the matmuls count up to L ones in float32, exact below 2^24
@@ -485,6 +548,38 @@ class TestVerifySet:
             assert exh.witness == check_pair_exhaustive(bad, *pairs[failed[0]]).witness
             cons = verify_set(bad, mode="conservative", threads=threads)
             assert (cons.verdict, cons.pairs_checked) == (Verdict.UNKNOWN, unknown[0] + 1)
+
+    @pytest.mark.parametrize("spec", [(2, 1, None), (2, 2, 2), (3, 2, None), (5, 2, 2),
+                                      (6, 3, 3)])
+    def test_conservative_reads_each_collider_once_a_transmitter(self, monkeypatch, spec):
+        # A collider's distinct offsets are found once per transmitter, and
+        # only for a node that some receiver has as a collider: never at
+        # K = 2, where the receiver is the transmitter's only group-mate.
+        sset = build_schedule_set(spec[0], spec[1], W=spec[2])
+        calls = []
+        distinct_shifts = verifier._distinct_shifts
+        monkeypatch.setattr(verifier, "_distinct_shifts",
+                            lambda *args: calls.append(args) or distinct_shifts(*args))
+        rep = verify_set(sset, mode="conservative")
+        assert rep.verdict is Verdict.PROVEN_CONSERVATIVE
+        want = sum(len({x for j in range(1, sset.K + 1) if j != i
+                        for x in verifier._pair_masks(sset, i, j)[2]})
+                   for i in range(1, sset.K + 1))
+        assert len(calls) == want
+        assert want == 0 if sset.K == 2 else want > 0
+
+    @pytest.mark.parametrize("x, m, n", [(5, 1, 11), (5, 2, 15), (3, 1, 18)])
+    def test_threads_stop_partway_through_a_range(self, x, m, n):
+        # Pairs split as [0, 10) and [10, 20) on two workers and [0, 6),
+        # [6, 13) and [13, 20) on three, and a transmitter has 4 receivers.
+        # The first UNKNOWN pair n is neither a transmitter's first nor a
+        # range's first, and each range holding it starts partway through a
+        # transmitter.
+        sset = partly_deaf_k5(30, x, m)
+        serial = verify_set(sset, mode="conservative")
+        assert (serial.verdict, serial.pairs_checked) == (Verdict.UNKNOWN, n + 1)
+        for threads in (2, 3):
+            assert verify_set(sset, mode="conservative", threads=threads) == serial
 
     def test_a_failed_pair_outranks_an_earlier_unknown(self):
         # With 20000 offset combinations a pair, the pairs from group 1 to
