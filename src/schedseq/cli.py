@@ -465,45 +465,8 @@ def _keep_freed_heap() -> bool:
     return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
-# The thread setter of the OpenBLAS that numpy >= 2 wheels bundle, in its
-# 64-bit-integer and 32-bit-integer builds.
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
-
-
-@functools.cache
-def _one_blas_thread() -> bool:
-    """Run numpy's bundled OpenBLAS on one thread.
-
-    The verifier's products are small, and OpenBLAS's idle threads spin
-    between them: by default they add CPU time at the same wall time, in
-    the parent and in every worker process forked from it.  numpy wheels
-    keep the library in numpy.libs (Linux, Windows) or numpy/.dylibs
-    (macOS).  Returns whether a setter was found and called; with another
-    BLAS, or a numpy built against the system's, nothing changes.
-    """
-    import glob  # only main calls this: importing the CLI module stays lean
-
-    np_dir = os.path.dirname(np.__file__)
-    paths = sorted(glob.glob(os.path.join(os.path.dirname(np_dir), "numpy.libs", "*openblas*"))
-                   + glob.glob(os.path.join(np_dir, ".dylibs", "*openblas*")))
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return True
-    return False
-
-
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
-    _one_blas_thread()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .constructor import ScheduleSequenceSet, m_prime, select_params
@@ -72,35 +71,28 @@ class VerificationReport:
 def _sender_masks(sset: ScheduleSequenceSet, i: int, receivers):
     """i's transmit mask on its group's channel, the transmit masks of the
     rest of i's group by node (a pair's colliders, less its receiver), and
-    each receiver's receive mask for that channel, made as it is read."""
+    a function giving receiver j's receive mask for that channel, made on
+    demand."""
     if i in receivers:
         raise ValueError("transmitter and receiver must differ")
     seqs = sset.sequences
     m = seqs[i - 1].owner_group
     group = {x: s.codes == m for x, s in enumerate(seqs, start=1)
              if s.owner_group == m and x != i}
-    return seqs[i - 1].codes == m, group, (seqs[j - 1].codes == -m for j in receivers)
-
-
-def _pair_masks(sset: ScheduleSequenceSet, i: int, j: int):
-    """i's transmit mask, j's receive mask, and the colliders (the rest of
-    i's group) with their transmit masks, read off the pair's own
-    sequences."""
-    ti, group, (rj,) = _sender_masks(sset, i, (j,))
-    colliders = [x for x in group if x != j]
-    return ti, rj, colliders, [group[x] for x in colliders]
+    return seqs[i - 1].codes == m, group, lambda j: seqs[j - 1].codes == -m
 
 
 def _shift_table(mask: np.ndarray) -> np.ndarray:
-    """Row tau is np.roll(mask, -tau): a zero-copy window over the mask
-    written out twice."""
-    L = mask.size
-    return sliding_window_view(np.concatenate([mask, mask]), L)[:L]
+    """Row tau is np.roll(mask, -tau): a zero-copy (L, L) view of the mask
+    written out twice, each row one item further on."""
+    L, doubled = mask.size, np.concatenate([mask, mask])
+    return np.ndarray((L, L), doubled.dtype, buffer=doubled, strides=(doubled.itemsize,) * 2)
 
 
 def _axis_blocks(L: int) -> list[slice]:
     """An offset axis cut into row blocks whose (rows, L) float32 copy fits
-    kernel.BATCH_BYTES; at desk sizes one block covers the axis.
+    kernel.BATCH_BYTES; at desk sizes one block covers the axis.  The last
+    block may end past L, where slicing stops at the axis end.
 
     The float32 products of these blocks count up to L ones, which is exact
     only below 2^24.
@@ -108,7 +100,7 @@ def _axis_blocks(L: int) -> list[slice]:
     if L >= 2 ** 24:
         raise ValueError(f"L={L} is beyond the exact float32 range of the pair checks")
     step = max(1, min(L, kernel.BATCH_BYTES // (4 * L)))
-    return [slice(lo, min(lo + step, L)) for lo in range(0, L, step)]
+    return [slice(lo, lo + step) for lo in range(0, L, step)]
 
 
 def _distinct_shifts(table: np.ndarray, T: np.ndarray, blocks: list[slice]) -> np.ndarray:
@@ -155,11 +147,12 @@ def success_slots(sset: ScheduleSequenceSet, i: int, j: int,
     Only offsets of i's group and of j are consulted; missing ones
     default to 0.
     """
-    ti, rj, colliders, tx = _pair_masks(sset, i, j)
+    ti, group, receive_mask = _sender_masks(sset, i, (j,))
     free = np.roll(ti, -offsets.get(i, 0))
-    for x, txx in zip(colliders, tx):
-        free &= ~np.roll(txx, -offsets.get(x, 0))
-    return np.flatnonzero(free & np.roll(rj, -offsets.get(j, 0))).tolist()
+    for x, tx in group.items():
+        if x != j:
+            free &= ~np.roll(tx, -offsets.get(x, 0))
+    return np.flatnonzero(free & np.roll(receive_mask(j), -offsets.get(j, 0))).tolist()
 
 
 def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
@@ -169,47 +162,11 @@ def check_pair_exhaustive(sset: ScheduleSequenceSet, i: int, j: int,
     The success predicate only references i's group and j, and is
     invariant under a common shift of all offsets, so tau_i is pinned to 0
     and the rest sweep Z_L.  A pair needing more combinations than budget
-    is UNKNOWN, decided before any mask is made.  The pair can only
-    succeed in i's transmit slots T, so each node's offset matters only
-    through its shift table's row read on T, and only the offset where
-    each distinct row first occurs is swept.  All colliders but the last
-    are enumerated; for each of their combinations, the slots left free by
-    every distinct row of the last collider, times the receiver's distinct
-    rows, count the deliveries in one matmul.  The first zero in row-major
-    order is the witness: as rows are numbered in order of first
-    occurrence, it is the first failure in itertools.product order over
-    the offsets of (colliders, receiver).
+    is UNKNOWN, decided before j's mask is made.  This is the one-receiver
+    sweep of _sweep, which _first_failure enumerates.
     """
-    L, seqs = sset.L, sset.sequences
-    m = seqs[i - 1].owner_group
-    # the nodes that sweep Z_L: the colliders and j (_pair_masks refuses i == j)
-    swept = sum(s.owner_group == m for s in seqs) - (seqs[j - 1].owner_group == m)
-    if i != j and L ** swept > budget:
-        return VerificationReport(Verdict.UNKNOWN, Method.EXHAUSTIVE, pairs_checked=1)
-    ti, rj, colliders, tx = _pair_masks(sset, i, j)
-    T = np.flatnonzero(ti)
-    blocks = _axis_blocks(L)
-    receive = _shift_table(rj)
-    heard = _distinct_shifts(receive, T, blocks)
-    # a pair without colliders is checked against one that never transmits,
-    # a table of one empty row whose offset zip(colliders, ...) leaves out
-    # of the witness
-    tables = [_shift_table(t) for t in tx] or [np.zeros((1, L), dtype=bool)]
-    shifts = [_distinct_shifts(table, T, blocks) for table in tables]
-    for combo in itertools.product(*(s.tolist() for s in shifts[:-1])):
-        free = np.ones(T.size, dtype=bool)
-        for table, tau in zip(tables, combo):
-            free &= ~table[tau, T]
-        for rows, block in _patterns(tables[-1], shifts[-1], T, blocks):
-            hit = _first_zero(free & ~block, _patterns(receive, heard, T, blocks))
-            if hit is not None:
-                offsets = {i: 0, j: int(heard[hit[1]])}
-                combo += (int(shifts[-1][rows.start + hit[0]]),)
-                offsets.update(zip(colliders, combo))
-                return VerificationReport(Verdict.FAILED_WITH_WITNESS, Method.EXHAUSTIVE,
-                                          pairs_checked=1,
-                                          witness=Witness(i, j, offsets))
-    return VerificationReport(Verdict.PROVEN, Method.EXHAUSTIVE, pairs_checked=1)
+    verdict, witness = next(_sweep(sset, Method.EXHAUSTIVE, budget, i, (j,)))
+    return VerificationReport(verdict, Method.EXHAUSTIVE, pairs_checked=1, witness=witness)
 
 
 def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> VerificationReport:
@@ -220,50 +177,93 @@ def check_pair_conservative(sset: ScheduleSequenceSet, i: int, j: int) -> Verifi
     could cover at any shift.  A positive remainder everywhere proves the
     pair; otherwise the answer is UNKNOWN (never a refutation, since the
     colliders cannot in general realize all maxima simultaneously).  This
-    is the one-receiver sweep of _conservative_sweep.
+    is the one-receiver sweep of _sweep, which _worst_case bounds.
     """
-    unproven = _conservative_sweep(sset, i, (j,)) is not None
-    return VerificationReport(Verdict.UNKNOWN if unproven else Verdict.PROVEN_CONSERVATIVE,
-                              Method.CONSERVATIVE, pairs_checked=1)
+    verdict, _ = next(_sweep(sset, Method.CONSERVATIVE, 0, i, (j,)))
+    return VerificationReport(verdict, Method.CONSERVATIVE, pairs_checked=1)
 
 
-def _conservative_sweep(sset: ScheduleSequenceSet, i: int, receivers) -> int | None:
-    """Position in receivers of the first j whose pair (i, j) the
-    conservative check cannot prove; None when it proves them all.
+def _sweep(sset: ScheduleSequenceSet, method: Method, budget: int, i: int, receivers):
+    """(verdict, witness) of each pair (i, j), j in receivers, made in order
+    by the exhaustive or the conservative check.
 
-    i's transmit slots T and the shift tables of its group are made once
-    for the sweep.  Every match lies in T, so both the receiver's match
-    rows and the colliders' shift tables are read on T alone, where a
-    collider's table takes few distinct rows (patterns).  Its distinct
-    offsets are found once, when the first receiver that has it as a
-    collider needs them, and its worst case at a block of receiver offsets
-    is the column maximum of its patterns times the match rows, the
-    patterns made one row block at a time.
+    i's transmit slots T are found once for the sweep.  Every delivery lies
+    in T, so the receiver's and the colliders' shift tables are read on T
+    alone, where a table takes few distinct rows (patterns).  A collider's
+    shift table and distinct offsets are made once, when the first receiver
+    that has it as a collider needs them; an exhaustive pair past the
+    budget needs no table.
     """
-    ti, group, receive_masks = _sender_masks(sset, i, receivers)
-    T = np.flatnonzero(ti)
-    blocks = _axis_blocks(sset.L)
-    tables = {x: _shift_table(t) for x, t in group.items()}
-    shifts = {}
-    for n, (j, rj) in enumerate(zip(receivers, receive_masks)):
-        receive = _shift_table(rj)
-        colliders = [x for x in tables if x != j]
-        for rows in blocks:
-            match = receive[rows][:, T]
-            slack = np.count_nonzero(match, axis=1)
-            match = match.T.astype(np.float32)
-            for x in colliders:
-                if (slack < 1).any():
-                    break
-                if x not in shifts:
-                    shifts[x] = _distinct_shifts(tables[x], T, blocks)
-                worst = np.maximum.reduce(
-                    [(block.astype(np.float32) @ match).max(axis=0)
-                     for _, block in _patterns(tables[x], shifts[x], T, blocks)])
-                slack = slack - worst.astype(np.int64)
-            if (slack < 1).any():
-                return n
+    ti, group, receive_mask = _sender_masks(sset, i, receivers)
+    L, T = sset.L, np.flatnonzero(ti)
+    blocks = _axis_blocks(L)
+    table = functools.cache(lambda x: _shift_table(group[x]))
+    distinct = functools.cache(lambda x: _distinct_shifts(table(x), T, blocks))
+    for j in receivers:
+        colliders = [x for x in group if x != j]
+        if method is Method.CONSERVATIVE:
+            yield _worst_case(_shift_table(receive_mask(j)), T, blocks, colliders,
+                              lambda x: _patterns(table(x), distinct(x), T, blocks)), None
+        elif L ** (len(colliders) + 1) > budget:  # the colliders and j sweep Z_L
+            yield Verdict.UNKNOWN, None
+        else:
+            # a pair without colliders is checked against one that never
+            # transmits, a table of one empty row whose offset
+            # zip(colliders, ...) leaves out of the witness
+            hit = _first_failure(_shift_table(receive_mask(j)), T, blocks,
+                                 [table(x) for x in colliders] or [np.zeros((1, L), dtype=bool)],
+                                 [distinct(x) for x in colliders] or [np.zeros(1, dtype=np.intp)])
+            if hit is None:
+                yield Verdict.PROVEN, None
+            else:
+                offsets = {i: 0, j: hit[1]}
+                offsets.update(zip(colliders, hit[0]))
+                yield Verdict.FAILED_WITH_WITNESS, Witness(i, j, offsets)
+
+
+def _first_failure(receive, T, blocks, tables, shifts):
+    """The first failing offsets of the colliders and of the receiver, as
+    (combo, tau_j), in itertools.product order over them; None if none fails.
+
+    All colliders but the last are enumerated; for each of their
+    combinations, the slots left free by every distinct row of the last
+    collider, times the receiver's distinct rows, count the deliveries in
+    one matmul.  The first zero in row-major order is the witness: as rows
+    are numbered in order of first occurrence, it is the first failure.
+    """
+    heard = _distinct_shifts(receive, T, blocks)
+    for combo in itertools.product(*(s.tolist() for s in shifts[:-1])):
+        free = np.ones(T.size, dtype=bool)
+        for table, tau in zip(tables, combo):
+            free &= ~table[tau, T]
+        for rows, block in _patterns(tables[-1], shifts[-1], T, blocks):
+            hit = _first_zero(free & ~block, _patterns(receive, heard, T, blocks))
+            if hit is not None:
+                return combo + (int(shifts[-1][rows.start + hit[0]]),), int(heard[hit[1]])
     return None
+
+
+def _worst_case(receive, T, blocks, colliders, patterns) -> Verdict:
+    """PROVEN_CONSERVATIVE if, at every receiver offset, the match slots
+    outnumber the most that each collider could cover; else UNKNOWN.
+
+    A collider's worst case at a block of receiver offsets is the column
+    maximum of its patterns times the match rows; a collider's patterns are
+    read only while no offset of the block is already unproven.
+    """
+    for rows in blocks:
+        match = receive[rows][:, T]
+        slack = np.count_nonzero(match, axis=1)
+        match = match.T.astype(np.float32)
+        for x in colliders:
+            if (slack < 1).any():
+                break
+            worst = np.maximum.reduce([(block.astype(np.float32) @ match).max(axis=0)
+                                       for _, block in patterns(x)])
+            slack = slack - worst.astype(np.int64)
+        if (slack < 1).any():
+            return Verdict.UNKNOWN
+    return Verdict.PROVEN_CONSERVATIVE
 
 
 def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
@@ -271,7 +271,7 @@ def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
     """Check ordered pairs [first, stop) up to the first decisive one.
     Pairs are numbered in row-major (transmitter, receiver) order without
     the diagonal, so pair n has transmitter n // (K-1) + 1; the range is
-    walked one transmitter at a time.
+    swept one transmitter at a time.
 
     A failed pair decides either method; an UNKNOWN pair decides the
     conservative method, which never refutes.  Returns the decisive pair's
@@ -284,16 +284,11 @@ def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
         i, r = divmod(n, sset.K - 1)
         end = min(stop, n - r + sset.K - 1)
         receivers = [s + 1 + (s >= i) for s in range(r, r + end - n)]
-        if method is Method.CONSERVATIVE:
-            hit = _conservative_sweep(sset, i + 1, receivers)
-            if hit is not None:
-                return (n + hit, Verdict.UNKNOWN, None), False
-        else:
-            for k, j in enumerate(receivers):
-                report = check_pair_exhaustive(sset, i + 1, j, budget)
-                if report.verdict is Verdict.FAILED_WITH_WITNESS:
-                    return (n + k, report.verdict, report.witness), unknown
-                unknown |= report.verdict is Verdict.UNKNOWN
+        for k, (verdict, witness) in enumerate(_sweep(sset, method, budget, i + 1, receivers)):
+            if verdict is Verdict.FAILED_WITH_WITNESS or (
+                    verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
+                return (n + k, verdict, witness), unknown
+            unknown |= verdict is Verdict.UNKNOWN
         n = end
     return None, unknown
 
@@ -372,7 +367,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
             if failed.any():
                 b = int(failed.argmax())
                 i, j = (x + 1 for x in divmod(int(bad[b].argmax()), K))
-                relevant = {i, j, *_pair_masks(sset, i, j)[2]}  # i's group and j
+                relevant = {*sset.division.members(channel[i - 1]), j}  # i's group and j
                 offsets = {x: int(taus[ids[b], x - 1]) for x in sorted(relevant)}
                 sample = lo + int(ids[b])
                 return ((sample, Verdict.FAILED_WITH_WITNESS, Witness(i, j, offsets)),

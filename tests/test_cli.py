@@ -533,21 +533,6 @@ def test_kernel_batches_do_not_fault_the_heap_back_in(tmp_path):
     assert 2 * page_faults(argv, keep=True) < page_faults(argv, keep=False)
 
 
-def bundled_blas_threads(run_main: bool) -> str:
-    """Threads numpy's bundled OpenBLAS reports in a fresh interpreter
-    started with two, after one CLI command or none; "none" without it."""
-    code = ("import ctypes, glob, os, sys\nimport numpy as np\nfrom schedseq import cli\n"
-            "if sys.argv[1] == 'on':\n    cli.main(['bound', '--K', '6', '--M', '2'])\n"
-            "libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),\n"
-            "                              'numpy.libs', '*openblas*'))\n"
-            "get = libs and getattr(ctypes.CDLL(libs[0]), 'scipy_openblas_get_num_threads64_', None)\n"
-            "print(get() if get else 'none')\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2"}
-    out = subprocess.run([sys.executable, "-c", code, "on" if run_main else "off"], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return out.split()[-1]
-
-
 def test_importing_the_cli_loads_no_process_pool():
     # The worker pool is imported only when work is split over processes.
     code = ("import sys\nimport schedseq.cli\n"
@@ -556,13 +541,6 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-def test_main_runs_bundled_blas_on_one_thread():
-    before = bundled_blas_threads(run_main=False)
-    if before == "none":
-        pytest.skip("numpy has no bundled OpenBLAS")
-    assert (before, bundled_blas_threads(run_main=True)) == ("2", "1")
 
 
 class TestVerifyV1(_VerifyFileCases):

@@ -213,18 +213,25 @@ def check_against_oracles(sets, rng) -> int:
     return refuted
 
 
-def assert_sweeps_match(sset: ScheduleSequenceSet, proven: list[bool]) -> None:
-    """The conservative check over pair ranges that start and end anywhere,
-    partway through a transmitter's receivers too, stops at the first pair
-    that `proven` (one verdict a pair, in pair order) does not prove."""
-    P = len(proven)
+def assert_sweeps_match(sset: ScheduleSequenceSet, method: Method, want, budget=10 ** 9) -> None:
+    """_check_pairs over pair ranges that start and end anywhere, partway
+    through a transmitter's receivers too, stops at the first decisive pair
+    of `want` (each pair's (verdict, witness), in pair order) and flags an
+    UNKNOWN pair before it."""
+    P = len(want)
     ranges = {(0, stop) for stop in range(1, P + 1)}
     ranges |= {(first, stop) for first in range(P)
                for stop in (first + 1, min(P, first + sset.K - 1), P)}
     for first, stop in sorted(ranges):
-        want = next((n for n in range(first, stop) if not proven[n]), None)
-        hit = verifier._check_pairs(sset, Method.CONSERVATIVE, 10 ** 9, first, stop)
-        assert hit == (None if want is None else (want, Verdict.UNKNOWN, None), False), \
+        hit, unknown = None, False
+        for n in range(first, stop):
+            verdict, witness = want[n]
+            if verdict is Verdict.FAILED_WITH_WITNESS or (
+                    verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
+                hit = (n, verdict, witness)
+                break
+            unknown |= verdict is Verdict.UNKNOWN
+        assert verifier._check_pairs(sset, method, budget, first, stop) == (hit, unknown), \
             (first, stop)
 
 
@@ -261,8 +268,31 @@ class TestWholeAxisChecks:
                 got = check_pair_conservative(sset, i, j).verdict
                 assert (got is Verdict.PROVEN_CONSERVATIVE) == want, (i, j)
                 verdicts.add(got)
-            assert_sweeps_match(sset, proven)
+            assert_sweeps_match(sset, Method.CONSERVATIVE, [
+                (Verdict.PROVEN_CONSERVATIVE if p else Verdict.UNKNOWN, None) for p in proven])
         assert Verdict.PROVEN_CONSERVATIVE in verdicts
+
+    @pytest.mark.parametrize("spec", ["two_node_set", "three_node_set"] + DESK_SETS
+                             + [(6, 3, 3), "partly_deaf_k5"])
+    def test_exhaustive_sweeps_match_each_pair(self, request, spec):
+        # The pair ranges of verify_set's workers, swept one transmitter at a
+        # time, against each pair checked alone.  A budget of L leaves only
+        # the pairs without colliders in budget, so UNKNOWN pairs come
+        # before and between the decided ones.
+        base = partly_deaf_k5(36) if spec == "partly_deaf_k5" else named_set(request, spec)
+        seed = sum(map(ord, str(spec)))
+        verdicts = set()
+        for sset in [base, *slot_mutations(base, 2, seed),
+                     *slot_mutations(base, 1, seed + 1, slots=4)]:
+            for budget in (sset.L, 10 ** 9):
+                want = [check_pair_exhaustive(sset, i, j, budget)
+                        for i, j in ordered_pairs(sset.K)]
+                verdicts |= {rep.verdict for rep in want}
+                assert_sweeps_match(sset, Method.EXHAUSTIVE,
+                                    [(rep.verdict, rep.witness) for rep in want], budget)
+        assert Verdict.PROVEN in verdicts
+        if spec == "partly_deaf_k5":
+            assert verdicts == {Verdict.PROVEN, Verdict.FAILED_WITH_WITNESS, Verdict.UNKNOWN}
 
     def test_witness_of_the_offset_loop(self, capsys, tmp_path):
         # The per-offset loop that the matmul replaced printed this witness
@@ -352,9 +382,9 @@ class TestWitnessOrder:
         want = [check_pair_exhaustive(*pair) for pair in pairs]
         assert any(rep.verdict is Verdict.FAILED_WITH_WITNESS for rep in want)
         monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
-        ti, rj, _, _ = verifier._pair_masks(sets[0], 1, 3)
+        ti, _, receive_mask = verifier._sender_masks(sets[0], 1, (3,))
         T, L = np.flatnonzero(ti), sets[0].L
-        table = verifier._shift_table(rj)
+        table = verifier._shift_table(receive_mask(3))
         assert verifier._distinct_shifts(table, T, verifier._axis_blocks(L)).tolist() == \
             list(range(L))
         assert [check_pair_exhaustive(*pair) for pair in pairs] == want
@@ -479,6 +509,10 @@ class TestBoundedMemory:
             verifier._axis_blocks(2 ** 24)
 
 
+# (K, M, W) of the sets whose _distinct_shifts calls are counted.
+COUNTED_SETS = [(2, 1, None), (2, 2, 2), (3, 2, None), (5, 2, 2), (6, 3, 3)]
+
+
 class TestVerifySet:
     def test_reference_set_proven(self, three_node_set):
         rep = verify_set(three_node_set, mode="exhaustive")
@@ -549,24 +583,49 @@ class TestVerifySet:
             cons = verify_set(bad, mode="conservative", threads=threads)
             assert (cons.verdict, cons.pairs_checked) == (Verdict.UNKNOWN, unknown[0] + 1)
 
-    @pytest.mark.parametrize("spec", [(2, 1, None), (2, 2, 2), (3, 2, None), (5, 2, 2),
-                                      (6, 3, 3)])
-    def test_conservative_reads_each_collider_once_a_transmitter(self, monkeypatch, spec):
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        calls = []
+        function = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda *args: calls.append(args) or function(*args))
+        return calls
+
+    def assert_reads_each_collider_once(self, monkeypatch, spec, mode, verdict):
         # A collider's distinct offsets are found once per transmitter, and
         # only for a node that some receiver has as a collider: never at
         # K = 2, where the receiver is the transmitter's only group-mate.
+        # The exhaustive check also finds the receiver's, once a pair.
         sset = build_schedule_set(spec[0], spec[1], W=spec[2])
-        calls = []
-        distinct_shifts = verifier._distinct_shifts
-        monkeypatch.setattr(verifier, "_distinct_shifts",
-                            lambda *args: calls.append(args) or distinct_shifts(*args))
-        rep = verify_set(sset, mode="conservative")
-        assert rep.verdict is Verdict.PROVEN_CONSERVATIVE
-        want = sum(len({x for j in range(1, sset.K + 1) if j != i
-                        for x in verifier._pair_masks(sset, i, j)[2]})
-                   for i in range(1, sset.K + 1))
-        assert len(calls) == want
-        assert want == 0 if sset.K == 2 else want > 0
+        calls = self.count_calls(monkeypatch, "_distinct_shifts")
+        rep = verify_set(sset, mode=mode)
+        assert rep.verdict is verdict
+        colliders = sum(len({x for j in range(1, sset.K + 1) if j != i
+                             for x in verifier._sender_masks(sset, i, ())[1] if x != j})
+                        for i in range(1, sset.K + 1))
+        assert colliders == 0 if sset.K == 2 else colliders > 0
+        pairs = sset.K * (sset.K - 1) if mode == "exhaustive" else 0
+        assert len(calls) == colliders + pairs
+
+    @pytest.mark.parametrize("spec", COUNTED_SETS)
+    def test_conservative_reads_each_collider_once_a_transmitter(self, monkeypatch, spec):
+        self.assert_reads_each_collider_once(monkeypatch, spec, "conservative",
+                                             Verdict.PROVEN_CONSERVATIVE)
+
+    @pytest.mark.parametrize("spec", COUNTED_SETS)
+    def test_exhaustive_reads_each_collider_once_a_transmitter(self, monkeypatch, spec):
+        self.assert_reads_each_collider_once(monkeypatch, spec, "exhaustive", Verdict.PROVEN)
+
+    @pytest.mark.parametrize("spec", [(2, 1, None), (3, 2, None), (5, 2, 2)])
+    def test_an_over_budget_pair_reads_no_receiver(self, monkeypatch, spec):
+        # Past the budget a pair is UNKNOWN before any shift table is made
+        # or any distinct offset found, for its receiver or its colliders.
+        sset = build_schedule_set(spec[0], spec[1], W=spec[2])
+        tables = self.count_calls(monkeypatch, "_shift_table")
+        shifts = self.count_calls(monkeypatch, "_distinct_shifts")
+        rep = verify_set(sset, mode="exhaustive", budget=1)
+        assert (rep.verdict, rep.pairs_checked) == (Verdict.UNKNOWN, sset.K * (sset.K - 1))
+        assert check_pair_exhaustive(sset, 1, 2, budget=1).verdict is Verdict.UNKNOWN
+        assert tables == shifts == []
 
     @pytest.mark.parametrize("x, m, n", [(5, 1, 11), (5, 2, 15), (3, 1, 18)])
     def test_threads_stop_partway_through_a_range(self, x, m, n):
