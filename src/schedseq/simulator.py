@@ -10,7 +10,7 @@ and reports that broadcast completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -22,11 +22,83 @@ from .random_schemes import AssignTRandomParams, GeneralRandomParams, bisect_ste
 from .seqcore import GroupDivision, OffsetVector
 
 
-def run_stream(seed: int, k: int) -> np.random.Generator:
-    """The random stream of run k: the k-th child of the seed
-    (SeedSequence.spawn order), made directly, so it does not depend on
-    how runs are split."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), fixed by
+# numpy's stream policy (NEP 19): entropy words are hashed with the INIT_A,
+# MULT_A sequence and mixed by MIX_L, MIX_R; output words use INIT_B, MULT_B.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_OUT_HASH = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)]
+# output word 4 c + i hashes pool word i with the xor and multiply constants c, i
+_OUT_XOR = np.array(_OUT_HASH[:8], dtype=np.uint32).reshape(2, 4)
+_OUT_MUL = np.array(_OUT_HASH[1:], dtype=np.uint32).reshape(2, 4)
+_WORDS_BLOCK = 4096  # runs per array pass, bounding its temporaries (~100 B a run)
+
+
+@cache
+def _key_hash(seed_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants that hash a spawn-key word into the
+    4 pool words after a seed of seed_words (>= 4) words: they follow the
+    16 hashes of the pool's start and 4 per seed word beyond the fourth."""
+    n = 16 + 4 * (seed_words - 4)
+    a = [_INIT_A * pow(_MULT_A, n + i, 1 << 32) & _M32 for i in range(5)]
+    return np.array(a[:4], dtype=np.uint32), np.array(a[1:], dtype=np.uint32)
+
+
+@cache
+def _generator_from_words() -> Callable[[np.ndarray], np.random.Generator]:
+    """Generator(PCG64) on four uint64 seed words.  numpy.random is imported
+    here, so that commands that never simulate do not load it at start-up."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):  # PCG64 takes no other seed object
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
+class RunStreams:
+    """The random streams of a range of runs; streams[n] makes that of
+    runs[n].  Run k's stream is default_rng(SeedSequence(seed,
+    spawn_key=(k,))), the k-th child of SeedSequence(seed).spawn, so a
+    run's draws do not depend on how runs are split.
+
+    That SeedSequence is SeedSequence(seed)'s pool with the word k hashed
+    and mixed in (a seed is padded to the pool's 4 words first), so the
+    PCG64 seed words of all runs are made in uint32 array passes over k
+    and kept, 32 bytes a run.  k must be below 2**32, one key word
+    (OverflowError otherwise).
+    """
+
+    def __init__(self, seed: int, runs: range) -> None:
+        pool = np.random.SeedSequence(seed).pool  # numpy's seed checks
+        key_xor, key_mul = _key_hash(max(4, -(-int(seed).bit_length() // 32)))
+        mixed = pool * np.uint32(_MIX_L)
+        self.words = np.empty((len(runs), 4), dtype=np.uint64)
+        for lo in range(0, len(runs), _WORDS_BLOCK):
+            part = runs[lo:lo + _WORDS_BLOCK]
+            h = np.arange(part.start, part.stop, part.step, dtype=np.uint32)[:, None] ^ key_xor
+            h *= key_mul
+            h ^= h >> 16
+            h *= np.uint32(_MIX_R)
+            p = mixed - h
+            p ^= p >> 16
+            out = p[:, None, :] ^ _OUT_XOR
+            out *= _OUT_MUL
+            out ^= out >> 16
+            # numpy reads the output words in little-endian pairs
+            out = out.reshape(-1, 8).astype("<u4", copy=False)
+            self.words[lo:lo + len(part)] = out.view("<u8")
+        self._generator = _generator_from_words()
+
+    def __getitem__(self, n: int) -> np.random.Generator:
+        return self._generator(self.words[n])
 
 
 class Scheme(Protocol):
@@ -52,8 +124,8 @@ class Scheme(Protocol):
     def action_source(self, seed: int, runs: range,
                       offset_mode: str | OffsetVector) -> kernel.Actions:
         """Slot actions of `runs`, indexed from 0 (see kernel.run_batch).
-        Run k draws only from run_stream(seed, k); a source that does not
-        draw makes no stream."""
+        Run k draws only from its stream in RunStreams(seed, runs); a
+        source that does not draw makes no stream."""
         ...
 
 
@@ -89,10 +161,13 @@ class SequenceScheme:
         elif offset_mode == "zero":
             taus = np.zeros((len(runs), K), dtype=np.int64)
         else:
-            # one stream alive at a time: a run's offsets are all it draws
+            # a run's offsets are all it draws: one stream alive at a time,
+            # and the seed words of one block of runs
             taus = np.empty((len(runs), K), dtype=np.int64)
-            for n, k in enumerate(runs):
-                taus[n] = run_stream(seed, k).integers(0, L, size=K)
+            for lo in range(0, len(runs), _WORDS_BLOCK):
+                streams = RunStreams(seed, runs[lo:lo + _WORDS_BLOCK])
+                for n in range(len(streams.words)):
+                    taus[lo + n] = streams[n].integers(0, L, size=K)
         return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
 
 
@@ -163,16 +238,22 @@ class _DrawnScheme:
 
     def action_source(self, seed, runs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
-        own stream, turned into slot actions as codes() does."""
-        rngs = [run_stream(seed, k) for k in runs]
+        own stream, turned into slot actions as codes() does.  A batch's
+        streams are made at its first chunk, which asks for all of its
+        runs, and dropped at the next batch's."""
+        streams = RunStreams(seed, runs)
+        rngs: dict[int, np.random.Generator] = {}
         index_dtype = self._lookup[1].dtype
 
         def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
+            if t0 == 0:
+                rngs.clear()
+                rngs.update((r, streams[r]) for r in ids.tolist())
             u = np.empty((self.K, T))
             index = np.empty(u.shape, dtype=index_dtype)
             hit = np.empty(u.shape, dtype=bool)
             out = np.empty((ids.size, self.K, T), dtype=np.int16)
-            for n, r in enumerate(ids):
+            for n, r in enumerate(ids.tolist()):
                 rngs[r].random(out=u)
                 self._codes_into(u, out[n], index, hit)
             return out
@@ -296,8 +377,8 @@ class SimResult:
 
 
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
-    """Execute runs [start, stop); run k's stream is run_stream(seed, k),
-    so results are identical no matter how runs are batched."""
+    """Execute runs [start, stop); run k draws from its own stream (see
+    RunStreams), so results are identical no matter how runs are batched."""
     actions = config.scheme.action_source(config.seed, range(start, stop),
                                           config.offset_mode)
     K, n = config.K, stop - start

@@ -543,6 +543,15 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy.random is imported by the commands that draw, not at start-up
+    code = "import sys\nimport schedseq.cli\nprint('numpy.random' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
 class TestVerifyV1(_VerifyFileCases):
     schema = "1"
 

@@ -19,8 +19,10 @@ from schedseq.seqcore import OffsetVector, ScheduleSequence, Symbol
 from schedseq.simulator import (
     AssignTRandomScheme,
     GeneralRandomScheme,
+    RunStreams,
     SequenceScheme,
     SimConfig,
+    _WORDS_BLOCK,
     _band_edge,
     completion_histogram,
     simulate,
@@ -158,12 +160,12 @@ class TestSimulateSequence:
     def test_only_drawn_offsets_build_generators(self, monkeypatch):
         # zero and fixed offsets never draw, so they build no random stream
         made = []
-        default_rng = np.random.default_rng
+        make = RunStreams.__getitem__
 
-        def counting(*args, **kwargs):
-            made.append(args)
-            return default_rng(*args, **kwargs)
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        def counting(streams, n):
+            made.append(n)
+            return make(streams, n)
+        monkeypatch.setattr(RunStreams, "__getitem__", counting)
         sset = build_schedule_set(4, 2, W=2)
         for mode in ("zero", OffsetVector((0, 5, 9, 30), sset.L)):
             simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4, offset_mode=mode))
@@ -187,6 +189,50 @@ class TestSimulateSequence:
         many, many_peak = traced(20_000)
         assert many_peak - few_peak <= 2 * 2 ** 20
         np.testing.assert_array_equal(many.completion_times[:200], few.completion_times)
+
+
+# seeds of one to six 32-bit words, below and above SeedSequence's 4-word pool
+STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 10**40, 2**160 + 2**100]
+
+
+def numpy_stream(seed: int, k: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=(k,))
+
+
+class TestRunStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_streams_equal_numpys_spawned_children(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        ks = [0, 1, 2, 49, 2**31, 2**32 - 2, 2**32 - 1, *rng.integers(0, 2**32, 20).tolist()]
+        for k in ks:
+            streams = RunStreams(seed, range(k, k + 1))
+            want = numpy_stream(seed, k)
+            np.testing.assert_array_equal(streams.words[0], want.generate_state(4, np.uint64))
+            got, ref = streams[0], np.random.default_rng(want)
+            assert got.random() == ref.random(), k
+            np.testing.assert_array_equal(got.integers(0, 546, size=18),
+                                          ref.integers(0, 546, size=18))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_a_range_gives_each_run_its_own_stream(self, seed):
+        # a range starting past 0 and spanning a block of the words pass
+        runs = range(_WORDS_BLOCK - 3, _WORDS_BLOCK + 4)
+        words = RunStreams(seed, runs).words
+        for n, k in enumerate(runs):
+            np.testing.assert_array_equal(words[n], RunStreams(seed, range(k, k + 1)).words[0])
+            np.testing.assert_array_equal(words[n],
+                                          numpy_stream(seed, k).generate_state(4, np.uint64))
+        whole = RunStreams(seed, range(2 * _WORDS_BLOCK + 1)).words
+        np.testing.assert_array_equal(whole[runs.start:runs.stop], words)
+
+    def test_negative_seed_is_numpys_error(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            RunStreams(-1, range(3))
+
+    def test_run_index_beyond_one_key_word_is_refused(self):
+        # numpy's spawn key k >= 2**32 has two words; it must not wrap to k % 2**32
+        with pytest.raises(OverflowError):
+            RunStreams(0, range(2**32 - 1, 2**32 + 1))
 
 
 class TestSimulateRandom:
@@ -493,6 +539,25 @@ class TestActionMemory:
             tracemalloc.stop()
         assert out.shape == (runs, K, CHUNK_SLOTS)
         assert peak <= max(BATCH_BYTES, run_bytes(K))
+
+    @pytest.mark.parametrize("scheme", [
+        AssignTRandomScheme(AssignTRandomParams(2, 6, 0.2)),
+        GeneralRandomScheme(GeneralRandomParams(2, 6, 0.08)),
+    ], ids=["assign_t", "general"])
+    def test_stream_memory_does_not_grow_with_runs(self, scheme):
+        # a batch's streams live only while it runs: 20,000 runs cost their
+        # seed words (32 bytes a run) and results, not a generator each
+        def traced(runs):
+            tracemalloc.start()
+            try:
+                res = simulate(SimConfig(scheme, runs=runs, seed=9))
+                return res, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        few, few_peak = traced(200)
+        many, many_peak = traced(20_000)
+        assert many_peak - few_peak <= 2 * 2 ** 20
+        np.testing.assert_array_equal(many.completion_times[:200], few.completion_times)
 
 
 class TestChannelCountEffects:
