@@ -337,6 +337,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_slots is not None and self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         if isinstance(self.offset_mode, str) and self.offset_mode not in ("uniform", "zero"):
@@ -405,7 +407,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     seed, so results do not depend on execution order or on threads.
     """
     max_slots = config.resolved_max_slots()
-    parts = map_ranges(partial(_run_range, config, max_slots), config.runs, threads)
+    parts = list(map_ranges(partial(_run_range, config, max_slots), config.runs, threads))
     times = np.concatenate([p[0] for p in parts])
     censored = np.concatenate([p[1] for p in parts])
     per_pair = (np.stack([t for p in parts for t in p[2]])

@@ -9,6 +9,7 @@ bounds on the period.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -268,10 +269,10 @@ def _worst_case(receive, T, blocks, colliders, patterns) -> Verdict:
 
 def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
                  first: int, stop: int):
-    """Check ordered pairs [first, stop) up to the first decisive one.
-    Pairs are numbered in row-major (transmitter, receiver) order without
-    the diagonal, so pair n has transmitter n // (K-1) + 1; the range is
-    swept one transmitter at a time.
+    """Check the ordered pairs of transmitters first + 1 .. stop up to the
+    first decisive one.  Pairs are numbered in row-major (transmitter,
+    receiver) order without the diagonal, so pair n = (i-1)(K-1) + k is
+    transmitter i's k-th receiver, counted from 0.
 
     A failed pair decides either method; an UNKNOWN pair decides the
     conservative method, which never refutes.  Returns the decisive pair's
@@ -279,17 +280,13 @@ def _check_pairs(sset: ScheduleSequenceSet, method: Method, budget: int,
     before it.
     """
     unknown = False
-    n = first
-    while n < stop:
-        i, r = divmod(n, sset.K - 1)
-        end = min(stop, n - r + sset.K - 1)
-        receivers = [s + 1 + (s >= i) for s in range(r, r + end - n)]
-        for k, (verdict, witness) in enumerate(_sweep(sset, method, budget, i + 1, receivers)):
+    for i in range(first + 1, stop + 1):
+        receivers = [j for j in range(1, sset.K + 1) if j != i]
+        for k, (verdict, witness) in enumerate(_sweep(sset, method, budget, i, receivers)):
             if verdict is Verdict.FAILED_WITH_WITNESS or (
                     verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
-                return (n + k, verdict, witness), unknown
+                return ((i - 1) * (sset.K - 1) + k, verdict, witness), unknown
             unknown |= verdict is Verdict.UNKNOWN
-        n = end
     return None, unknown
 
 
@@ -303,8 +300,10 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
     answer UNKNOWN.  Every mode stops at its first decisive item (a pair,
     see _check_pairs, or a sample, see _randomized_draws), and
     pairs_checked counts the pairs up to it.  threads > 1 gives each
-    worker process a contiguous range of pairs, or of offset draws; the
-    report does not depend on threads.
+    worker process a contiguous range of transmitters, all of whose pairs
+    it checks, or of offset draws.  The ranges are read in order, and the
+    workers stop once one has decided, so the report does not depend on
+    threads.
     """
     try:
         method = Method(mode)
@@ -315,23 +314,20 @@ def verify_set(sset: ScheduleSequenceSet, mode: str = "exhaustive",
         if samples < 1:
             raise ValueError("randomized verification needs samples >= 1")
         work = functools.partial(_randomized_draws, sset, samples, seed)
-        stop = -(-samples // _DRAW_SAMPLES)
-        items, pairs_per_item = samples, K * (K - 1)
+        stop, pairs_per_item = -(-samples // _DRAW_SAMPLES), K * (K - 1)
+        total = samples * pairs_per_item
     else:
         work = functools.partial(_check_pairs, sset, method, budget)
-        stop = items = K * (K - 1)
-        pairs_per_item = 1
-    parts = map_ranges(work, stop, threads)
-    # Each worker stops at the first decisive item of its range, and the
-    # ranges are in order, so the earliest of those is the first overall.
-    decided = [hit for hit, _ in parts if hit is not None]
-    if decided:
-        index, verdict, witness = min(decided, key=lambda hit: hit[0])
-        return VerificationReport(verdict, method, (index + 1) * pairs_per_item, witness)
-    if any(unknown for _, unknown in parts):
-        return VerificationReport(Verdict.UNKNOWN, method, items * pairs_per_item)
-    verdict = Verdict.PROVEN if method is Method.EXHAUSTIVE else Verdict.PROVEN_CONSERVATIVE
-    return VerificationReport(verdict, method, items * pairs_per_item)
+        stop, total, pairs_per_item = K, K * (K - 1), 1
+    unknown = False
+    with contextlib.closing(map_ranges(work, stop, threads)) as parts:
+        for hit, range_unknown in parts:
+            if hit is not None:
+                index, verdict, witness = hit
+                return VerificationReport(verdict, method, (index + 1) * pairs_per_item, witness)
+            unknown |= range_unknown
+    proven = Verdict.PROVEN if method is Method.EXHAUSTIVE else Verdict.PROVEN_CONSERVATIVE
+    return VerificationReport(Verdict.UNKNOWN if unknown else proven, method, total)
 
 
 # Offset vectors are drawn this many samples at a time, which fixes the
@@ -348,8 +344,8 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     period; a sample that fails refutes the set, and one that does not is
     UNKNOWN.  The witness is the first unserved (transmitter, receiver)
     pair, in row-major pair order, of the first failing sample.  Returns
-    that failure as (sample, verdict, witness) or None, and whether an
-    UNKNOWN sample came before it.
+    that failure as (sample, verdict, witness) or None, and True: a sample
+    that does not fail is UNKNOWN.
     """
     rng = np.random.default_rng(seed)
     codes, channel = sset.codes_matrix(), np.array(sset.division.assignment)
@@ -370,8 +366,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
                 relevant = {*sset.division.members(channel[i - 1]), j}  # i's group and j
                 offsets = {x: int(taus[ids[b], x - 1]) for x in sorted(relevant)}
                 sample = lo + int(ids[b])
-                return ((sample, Verdict.FAILED_WITH_WITNESS, Witness(i, j, offsets)),
-                        sample > first * _DRAW_SAMPLES)
+                return (sample, Verdict.FAILED_WITH_WITNESS, Witness(i, j, offsets)), True
     return None, True
 
 

@@ -671,6 +671,16 @@ class TestSimulate:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 1 and "max_slots" in err
 
+    @pytest.mark.parametrize("offsets", ["uniform", "zero"])
+    def test_negative_seed_exit_1(self, capsys, tmp_path, offsets):
+        set_path = tmp_path / "s.json"
+        run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",
+                "--out", str(set_path))
+        code, out, err = run_cli(capsys, "simulate", "--in", str(set_path), "--runs", "5",
+                                 "--seed", "-1", "--offsets", offsets, "--threads", "1",
+                                 "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "") and "seed must be >= 0" in err
+
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--runs", "5",
                                "--out", str(tmp_path / "x.csv"))

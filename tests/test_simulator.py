@@ -61,6 +61,13 @@ class TestSimulateSequence:
         c = simulate(SimConfig(SequenceScheme(sset), runs=64, seed=10))
         assert not np.array_equal(a.completion_times, c.completion_times)
 
+    @pytest.mark.parametrize("offset_mode", ["uniform", "zero", OffsetVector((0, 1, 2, 3), 4)])
+    def test_negative_seed_is_refused_in_every_offset_mode(self, offset_mode):
+        # zero and fixed offsets draw nothing, so no stream would check it
+        scheme = SequenceScheme(build_schedule_set(4, 2, W=2))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(scheme, runs=5, seed=-1, offset_mode=offset_mode)
+
     def test_threads_do_not_change_results(self):
         sset = build_schedule_set(4, 2, W=2)
         a = simulate(SimConfig(SequenceScheme(sset), runs=50, seed=3))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -214,17 +215,14 @@ def check_against_oracles(sets, rng) -> int:
 
 
 def assert_sweeps_match(sset: ScheduleSequenceSet, method: Method, want, budget=10 ** 9) -> None:
-    """_check_pairs over pair ranges that start and end anywhere, partway
-    through a transmitter's receivers too, stops at the first decisive pair
-    of `want` (each pair's (verdict, witness), in pair order) and flags an
-    UNKNOWN pair before it."""
-    P = len(want)
-    ranges = {(0, stop) for stop in range(1, P + 1)}
-    ranges |= {(first, stop) for first in range(P)
-               for stop in (first + 1, min(P, first + sset.K - 1), P)}
-    for first, stop in sorted(ranges):
+    """On every range of whole transmitters, first + 1 .. stop, _check_pairs
+    stops at the first decisive pair of `want` (each pair's (verdict,
+    witness), in pair order) among the range's pairs and flags an UNKNOWN
+    pair before it."""
+    K = sset.K
+    for first, stop in itertools.combinations(range(K + 1), 2):
         hit, unknown = None, False
-        for n in range(first, stop):
+        for n in range(first * (K - 1), stop * (K - 1)):
             verdict, witness = want[n]
             if verdict is Verdict.FAILED_WITH_WITNESS or (
                     verdict is Verdict.UNKNOWN and method is Method.CONSERVATIVE):
@@ -629,11 +627,11 @@ class TestVerifySet:
 
     @pytest.mark.parametrize("x, m, n", [(5, 1, 11), (5, 2, 15), (3, 1, 18)])
     def test_threads_stop_partway_through_a_range(self, x, m, n):
-        # Pairs split as [0, 10) and [10, 20) on two workers and [0, 6),
-        # [6, 13) and [13, 20) on three, and a transmitter has 4 receivers.
-        # The first UNKNOWN pair n is neither a transmitter's first nor a
-        # range's first, and each range holding it starts partway through a
-        # transmitter.
+        # Transmitters split as 1-2 and 3-5 on two workers (pairs [0, 8)
+        # and [8, 20)) and as 1, 2-3 and 4-5 on three (pairs [0, 4), [4, 12)
+        # and [12, 20)), and a transmitter has 4 receivers.  The first
+        # UNKNOWN pair n is neither a transmitter's first nor a range's
+        # first.
         sset = partly_deaf_k5(30, x, m)
         serial = verify_set(sset, mode="conservative")
         assert (serial.verdict, serial.pairs_checked) == (Verdict.UNKNOWN, n + 1)
@@ -664,9 +662,10 @@ class TestVerifySet:
         ("unknown", "exhaustive", Verdict.UNKNOWN, 20),
     ])
     def test_three_workers_give_the_serial_report(self, case, mode, verdict, pairs_checked):
-        # Pairs split as [0, 6), [6, 13) and [13, 20).  In the refuted set
-        # node 2 never listens to its own channel 2, so pair (4, 2), pair 13,
-        # is the first to fail: it lies in the last range.
+        # Transmitters split as 1, 2-3 and 4-5, pairs [0, 4), [4, 12) and
+        # [12, 20).  In the refuted set node 2 never listens to its own
+        # channel 2, so pair (4, 2), pair 13, is the first to fail: it lies
+        # in the last range.
         sset = build_schedule_set(5, 2, W=2)
         if case == "refuted":
             codes = sset.codes_matrix().copy()
@@ -677,6 +676,36 @@ class TestVerifySet:
         serial = verify_set(sset, **kwargs)
         assert (serial.verdict, serial.pairs_checked) == (verdict, pairs_checked)
         assert verify_set(sset, threads=3, **kwargs) == serial
+
+    @pytest.mark.parametrize("case, mode, verdict, pairs_checked", [
+        ("one node", "exhaustive", Verdict.PROVEN, 0),
+        ("one node", "conservative", Verdict.PROVEN_CONSERVATIVE, 0),
+        ("one node", "randomized", Verdict.UNKNOWN, 0),
+        ("two nodes", "exhaustive", Verdict.PROVEN, 2),
+        ("two nodes", "conservative", Verdict.PROVEN_CONSERVATIVE, 2),
+        ("two nodes", "randomized", Verdict.UNKNOWN, 1100 * 2),
+        ("two channels", "exhaustive", Verdict.PROVEN, 2),
+        ("two channels", "conservative", Verdict.PROVEN_CONSERVATIVE, 2),
+        ("two channels", "randomized", Verdict.UNKNOWN, 1100 * 2),
+        ("aligned copies", "exhaustive", Verdict.FAILED_WITH_WITNESS, 1),
+        ("aligned copies", "conservative", Verdict.UNKNOWN, 1),
+        ("aligned copies", "randomized", Verdict.FAILED_WITH_WITNESS, 6 * 2),
+    ])
+    def test_one_and_two_node_sets_give_the_serial_report(self, case, mode, verdict,
+                                                          pairs_checked):
+        # K = 1 has no pair, and at K = 2 the pair modes give each of two
+        # workers one transmitter and a third none.  Aligned copies of one
+        # sequence on one channel collide.
+        if case == "aligned copies":
+            row = build_schedule_set(2, 1).sequences[0]
+            sset = ScheduleSequenceSet((row, row))
+        else:
+            sset = {"one node": build_schedule_set(1, 1), "two nodes": build_schedule_set(2, 1),
+                    "two channels": build_schedule_set(2, 2, W=2)}[case]
+        serial = verify_set(sset, mode=mode, samples=1100, seed=2)
+        assert (serial.verdict, serial.pairs_checked) == (verdict, pairs_checked)
+        for threads in (2, 3):
+            assert verify_set(sset, mode=mode, samples=1100, seed=2, threads=threads) == serial
 
     @pytest.mark.parametrize("seed, sample", [(3, 724), (4, 1677)])
     def test_three_workers_find_a_failure_in_a_later_draw(self, seed, sample):
