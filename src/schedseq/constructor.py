@@ -163,8 +163,6 @@ def select_params(K: int, M: int, W: int,
         w = K
         p = next_prime(w)
         q = 2 * w - 1
-        while math.gcd(q, p) != 1:
-            q += 1
         return ConstructionParams(K=K, M=M, W=1, division=division, w=w,
                                   p=p, q=q, Lprime=p * q, L=p * q, deltas=(0,))
 

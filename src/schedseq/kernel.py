@@ -14,8 +14,8 @@ Otherwise every channel is a layer of its own.  `run_batch` feeds it
 chunk after chunk and keeps a (runs, K) mask of the transmitters still
 pending: one leaves once all of its receivers are served, and a run once
 all of its transmitters have.  `run_batches` walks a range of runs in
-batches that fit the byte budget.  The simulator and the randomized
-verifier both go through here.
+batches that fit the byte budget, each with its own action source.  The
+simulator and the randomized verifier both go through here.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ BATCH_BYTES = 2 ** 20
 # per run per chunk, so this value fixes their RNG streams.
 CHUNK_SLOTS = 512
 
-Actions = Callable[[np.ndarray, int, int], np.ndarray]
+Source = Callable[[np.ndarray, int, int], np.ndarray]  # a batch's slot actions, see run_batch
+Actions = Callable[[np.ndarray], Source]  # the source of a batch's run ids
 
 
 def run_bytes(K: int) -> int:
@@ -164,26 +165,26 @@ def _first_slot(hits: np.ndarray) -> np.ndarray:
     return np.where(key != 0, slot, -1)
 
 
-def run_batch(actions: Actions, ids: np.ndarray, K: int, W: int,
-              max_slots: int, channel: np.ndarray | None = None) -> np.ndarray:
-    """First delivery slots of the runs `ids`, over slots [0, max_slots).
+def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
+              channel: np.ndarray | None = None) -> np.ndarray:
+    """First delivery slots of a batch of n runs, over slots [0, max_slots).
 
-    actions(ids, t0, T) returns the (len(ids), K, T) slot actions of those
-    runs for slots [t0, t0 + T).  Chunks of CHUNK_SLOTS slots are evaluated
-    in order.  Transmitter i of a run stays pending while some receiver
-    j != i of that run has no delivery; each chunk evaluates only the
-    pending transmitters and asks `actions` only for runs that have one.
-    channel is first_delivery's.
+    source(rows, t0, T) returns the (len(rows), K, T) slot actions of the
+    batch's rows `rows`, in 0..n-1, for slots [t0, t0 + T).  Chunks of
+    CHUNK_SLOTS slots are evaluated in order.  Transmitter i of a run
+    stays pending while some receiver j != i of that run has no delivery;
+    each chunk evaluates only the pending transmitters and asks `source`
+    only for rows that have one.  channel is first_delivery's.
     """
-    first = np.full((ids.size, K, K), -1, dtype=np.int64)
-    pending = np.full((ids.size, K), K > 1)  # one node has no pair to serve
+    first = np.full((n, K, K), -1, dtype=np.int64)
+    pending = np.full((n, K), K > 1)  # one node has no pair to serve
     for t0 in range(0, max_slots, CHUNK_SLOTS):
         runs = np.flatnonzero(pending.any(axis=1))
         if not runs.size:
             break
         T = min(CHUNK_SLOTS, max_slots - t0)
         pos, tx = np.nonzero(pending[runs])
-        got = first_delivery(actions(ids[runs], t0, T), W, pos, tx, channel)
+        got = first_delivery(source(runs, t0, T), W, pos, tx, channel)
         r = runs[pos]
         part = first[r, tx]
         part = np.where((part < 0) & (got >= 0), t0 + got, part)
@@ -197,27 +198,32 @@ def run_batches(actions: Actions, runs: int, K: int, W: int, max_slots: int,
                 channel: np.ndarray | None = None
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """run_batch over runs [0, runs) in order, a batch of batch_runs(K) runs
-    at a time; yields each batch's run ids and first delivery slots."""
+    at a time, each on the source actions(ids) of its run ids; yields each
+    batch's run ids and first delivery slots."""
     batch = batch_runs(K)
     for lo in range(0, runs, batch):
         ids = np.arange(lo, min(lo + batch, runs))
-        yield ids, run_batch(actions, ids, K, W, max_slots, channel)
+        yield ids, run_batch(actions(ids), ids.size, K, W, max_slots, channel)
 
 
-def cyclic_reads(codes: np.ndarray, taus: np.ndarray) -> Actions:
-    """Action source for periodic schedules read at per-run offsets.
+def cyclic_reads(codes: np.ndarray) -> Callable[[np.ndarray], Source]:
+    """Sources for periodic schedules read at per-run offsets.
 
-    codes is the (K, L) schedule table and taus the (runs, K) offsets;
-    run r's node x acts in slot t as codes[x, (t + taus[r, x]) % L].
-    Chunks may be at most CHUNK_SLOTS slots long.
+    codes is the (K, L) schedule table; reads(taus) is the source of a
+    batch whose row n reads node x's schedule at offset taus[n, x], so
+    that it acts in slot t as codes[x, (t + taus[n, x]) % L].  The wrapped
+    windows are built once and shared by every batch.  Chunks may be at
+    most CHUNK_SLOTS slots long.
     """
     K, L = codes.shape
     wrap = CHUNK_SLOTS - 1  # slots a window can run past the period
     tail = np.tile(codes[:, :wrap], (1, -(-wrap // L)))[:, :wrap]
     windows = sliding_window_view(np.concatenate([codes, tail], axis=1), CHUNK_SLOTS,
                                   axis=1)
-    rows = np.arange(K)
+    nodes = np.arange(K)
 
-    def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
-        return windows[:, :, :T][rows, (t0 + taus[ids]) % L]
-    return actions
+    def reads(taus: np.ndarray) -> Source:
+        def source(rows: np.ndarray, t0: int, T: int) -> np.ndarray:
+            return windows[:, :, :T][nodes, (t0 + taus[rows]) % L]
+        return source
+    return reads

@@ -123,9 +123,9 @@ class Scheme(Protocol):
 
     def action_source(self, seed: int, runs: range,
                       offset_mode: str | OffsetVector) -> kernel.Actions:
-        """Slot actions of `runs`, indexed from 0 (see kernel.run_batch).
-        Run k draws only from its stream in RunStreams(seed, runs); a
-        source that does not draw makes no stream."""
+        """actions(ids), the source of each batch of `runs`, indexed from 0
+        (see kernel.run_batches).  Run k draws only from its stream in
+        RunStreams(seed, runs); a source that does not draw makes none."""
         ...
 
 
@@ -154,21 +154,19 @@ class SequenceScheme:
 
     def action_source(self, seed, runs, offset_mode):
         K, L = self.K, self.sset.L
-        if isinstance(offset_mode, OffsetVector):
-            if len(offset_mode.offsets) != K or offset_mode.period != L:
-                raise ValueError("fixed offsets do not match the scheme")
-            taus = np.tile(offset_mode.offsets, (len(runs), 1))
-        elif offset_mode == "zero":
-            taus = np.zeros((len(runs), K), dtype=np.int64)
-        else:
-            # a run's offsets are all it draws: one stream alive at a time,
-            # and the seed words of one block of runs
-            taus = np.empty((len(runs), K), dtype=np.int64)
-            for lo in range(0, len(runs), _WORDS_BLOCK):
-                streams = RunStreams(seed, runs[lo:lo + _WORDS_BLOCK])
-                for n in range(len(streams.words)):
-                    taus[lo + n] = streams[n].integers(0, L, size=K)
-        return kernel.cyclic_reads(self.sset.codes_matrix(), taus)
+        reads = kernel.cyclic_reads(self.sset.codes_matrix())
+        if offset_mode == "uniform":
+            # a run's offsets are all it draws, made when its batch starts
+            streams = RunStreams(seed, runs)
+            return lambda ids: reads(np.array(
+                [streams[r].integers(0, L, size=K) for r in ids.tolist()]))
+        if offset_mode == "zero":
+            offset_mode = OffsetVector((0,) * K, L)
+        if len(offset_mode.offsets) != K or offset_mode.period != L:
+            raise ValueError("fixed offsets do not match the scheme")
+        # every run reads the same offsets, so one source serves each batch
+        source = reads(np.broadcast_to(np.array(offset_mode.offsets), (len(runs), K)))
+        return lambda ids: source
 
 
 def _band_edge(band: Callable[[float], int], k: int) -> float:
@@ -239,24 +237,23 @@ class _DrawnScheme:
     def action_source(self, seed, runs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
         own stream, turned into slot actions as codes() does.  A batch's
-        streams are made at its first chunk, which asks for all of its
-        runs, and dropped at the next batch's."""
+        streams live as long as its source."""
         streams = RunStreams(seed, runs)
-        rngs: dict[int, np.random.Generator] = {}
         index_dtype = self._lookup[1].dtype
 
-        def actions(ids: np.ndarray, t0: int, T: int) -> np.ndarray:
-            if t0 == 0:
-                rngs.clear()
-                rngs.update((r, streams[r]) for r in ids.tolist())
-            u = np.empty((self.K, T))
-            index = np.empty(u.shape, dtype=index_dtype)
-            hit = np.empty(u.shape, dtype=bool)
-            out = np.empty((ids.size, self.K, T), dtype=np.int16)
-            for n, r in enumerate(ids.tolist()):
-                rngs[r].random(out=u)
-                self._codes_into(u, out[n], index, hit)
-            return out
+        def actions(ids: np.ndarray) -> kernel.Source:
+            rngs = [streams[r] for r in ids.tolist()]
+
+            def source(rows: np.ndarray, t0: int, T: int) -> np.ndarray:
+                u = np.empty((self.K, T))
+                index = np.empty(u.shape, dtype=index_dtype)
+                hit = np.empty(u.shape, dtype=bool)
+                out = np.empty((rows.size, self.K, T), dtype=np.int16)
+                for n, r in enumerate(rows.tolist()):
+                    rngs[r].random(out=u)
+                    self._codes_into(u, out[n], index, hit)
+                return out
+            return source
         return actions
 
 
@@ -344,17 +341,6 @@ class SimConfig:
         if isinstance(self.offset_mode, str) and self.offset_mode not in ("uniform", "zero"):
             raise ValueError(f"unknown offset mode {self.offset_mode!r}")
 
-    @property
-    def K(self) -> int:
-        return self.scheme.K
-
-    @property
-    def W(self) -> int:
-        return self.scheme.W
-
-    def resolved_max_slots(self) -> int:
-        return self.scheme.max_slots(self.max_slots)
-
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
@@ -381,15 +367,15 @@ class SimResult:
 def _run_range(config: SimConfig, max_slots: int, start: int, stop: int):
     """Execute runs [start, stop); run k draws from its own stream (see
     RunStreams), so results are identical no matter how runs are batched."""
-    actions = config.scheme.action_source(config.seed, range(start, stop),
-                                          config.offset_mode)
-    K, n = config.K, stop - start
+    scheme = config.scheme
+    actions = scheme.action_source(config.seed, range(start, stop), config.offset_mode)
+    K, n = scheme.K, stop - start
     off_diag = ~np.eye(K, dtype=bool)
     times = np.empty(n, dtype=np.int64)
     censored = np.empty(n, dtype=bool)
     pair_tables = [] if config.record_pairs else None
-    for ids, first in kernel.run_batches(actions, n, K, config.W, max_slots,
-                                         config.scheme.transmit_channels):
+    for ids, first in kernel.run_batches(actions, n, K, scheme.W, max_slots,
+                                         scheme.transmit_channels):
         served = first[:, off_diag]
         pending = (served < 0).any(axis=1)
         # a one-node set has no pair to serve and completes at time 0
@@ -406,7 +392,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     Each run gets an independent child RNG stream spawned from the master
     seed, so results do not depend on execution order or on threads.
     """
-    max_slots = config.resolved_max_slots()
+    max_slots = config.scheme.max_slots(config.max_slots)
     parts = list(map_ranges(partial(_run_range, config, max_slots), config.runs, threads))
     times = np.concatenate([p[0] for p in parts])
     censored = np.concatenate([p[1] for p in parts])

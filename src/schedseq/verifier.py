@@ -348,7 +348,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     that does not fail is UNKNOWN.
     """
     rng = np.random.default_rng(seed)
-    codes, channel = sset.codes_matrix(), np.array(sset.division.assignment)
+    reads, channel = kernel.cyclic_reads(sset.codes_matrix()), np.array(sset.division.assignment)
     K, L = sset.K, sset.L
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself
     for d in range(stop):
@@ -356,8 +356,8 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
         taus = rng.integers(0, L, size=(min(_DRAW_SAMPLES, samples - lo), K))
         if d < first:
             continue
-        actions = kernel.cyclic_reads(codes, taus)
-        for ids, got in kernel.run_batches(actions, len(taus), K, sset.W, L, channel):
+        for ids, got in kernel.run_batches(lambda ids: reads(taus[ids]), len(taus), K,
+                                           sset.W, L, channel):
             bad = ((got < 0) & off_diag).reshape(ids.size, K * K)
             failed = bad.any(axis=1)
             if failed.any():

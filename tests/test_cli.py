@@ -261,6 +261,34 @@ class _CodecCases(_SchemaDocs):
             code, _, err = run_cli(capsys, *argv, "--in", str(path))
             assert code == 1 and err.startswith("error: bad construction params"), argv
 
+    @pytest.mark.parametrize("K, W, change, message", [
+        (4, 2, {"Lprime": 16}, r"Lprime must equal p\*q"),
+        (4, 2, {"q": 8, "Lprime": 24}, "2W must be coprime with p"),
+        (4, 2, {"q": 7, "Lprime": 21}, r"L must equal 2\*W\*p\*q"),
+        (4, 2, {"deltas": [0, 5]}, "delta_2 has wrong CRT image"),
+        (3, 1, {"q": 7, "Lprime": 21}, r"single-channel construction has L = p\*q"),
+    ], ids=["Lprime", "2W-coprime", "L", "delta", "single-channel-L"])
+    def test_rejects_params_the_construction_refuses(self, K, W, change, message):
+        # each change passes CrtUiParams' own rule on w, p and q
+        doc = self.doc(build_schedule_set(K, W, W=W))
+        doc["params"].update(change)
+        with pytest.raises(SequenceSetFormatError, match="bad construction params: " + message):
+            set_from_doc(doc)
+
+    @pytest.mark.parametrize("doc", [[], "set", None, 3], ids=["list", "str", "null", "int"])
+    def test_rejects_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(SequenceSetFormatError, match="one JSON object"):
+            set_from_doc(doc)
+
+    def test_a_set_check_is_a_format_error(self):
+        # division [1, 1, 3] passes the header (W = 3 = M <= K) and every
+        # row, but the set leaves group 2 empty
+        doc = {"schema_version": "2", "K": 3, "M": 3, "W": 3, "L": 2, "params": None,
+               "division": [1, 1, 3], "sequences": ["T1 R3", "R1 T1", "R2 T3"]}
+        with pytest.raises(SequenceSetFormatError, match="owner groups 1..W") as err:
+            set_from_doc(to_v1(doc) if self.schema == "1" else doc)
+        assert isinstance(err.value.__cause__, ValueError)
+
     @pytest.mark.parametrize("version", [None, "", "3", 2, 1])
     def test_rejects_missing_or_unknown_version(self, three_node_set, version):
         doc = self.doc(three_node_set)
@@ -604,6 +632,13 @@ class TestFramelen:
 
 
 class TestSimulate:
+    def test_random_needs_K(self, capsys, tmp_path):
+        csv_path = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "simulate", "--random", "--W", "2", "--runs", "5",
+                               "--threads", "1", "--out", str(csv_path))
+        assert code == 1 and err.startswith("error: --random needs --K")
+        assert not csv_path.exists()
+
     def test_sequence_run_within_period(self, capsys, tmp_path):
         set_path = tmp_path / "s.json"
         run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from functools import cache
@@ -122,6 +123,21 @@ class TestSelectParams:
         assert p.q == 35  # 5 * 7, merely coprime with p = 19
         assert p.L == 665
 
+    def test_single_channel_q_is_2K_minus_1(self):
+        # p = next_prime(K) <= 2K - 2 < q < 2p for K >= 2 (Bertrand), so p
+        # never divides q and no coprimality search is needed
+        for K in range(1, 501):
+            assert select_params(K, 1, 1).q == 2 * K - 1, K
+
+    def test_params_need_channel_counts_in_order(self):
+        # a set file's header check refuses these first, so only a direct
+        # construction reaches them
+        params = select_params(4, 2, 2)
+        with pytest.raises(ValueError, match="need 1 <= W <= M <= K"):
+            dataclasses.replace(params, M=5)
+        with pytest.raises(ValueError, match="division does not match K and W"):
+            dataclasses.replace(params, division=GroupDivision.even(4, 1))
+
     def test_rejects_bad_W(self):
         with pytest.raises(ValueError):
             select_params(10, 2, 3)
@@ -202,6 +218,17 @@ class TestBuildScheduleSet:
     def test_four_nodes_two_channels(self):
         sset = build_schedule_set(4, 2, W=2)
         assert sset.K == 4 and sset.L == 60 and sset.W == 2
+
+    def test_set_checks(self):
+        seqs = build_schedule_set(4, 2, W=2).sequences
+        with pytest.raises(ValueError, match="empty sequence set"):
+            ScheduleSequenceSet(())
+        with pytest.raises(ValueError, match="share one period"):
+            ScheduleSequenceSet((seqs[0], ScheduleSequence(seqs[1].codes[:30], 2)))
+        with pytest.raises(ValueError, match="owner groups 1..W"):
+            ScheduleSequenceSet((ScheduleSequence([1, -1], 1), ScheduleSequence([3, -1], 3)))
+        with pytest.raises(ValueError, match="params.division disagrees"):
+            ScheduleSequenceSet(seqs[::-1], params=select_params(4, 2, 2))
 
     def test_single_channel_relabels_ui(self):
         sset = build_schedule_set(3, 1)

@@ -251,10 +251,33 @@ class TestChunkLoop:
         table = rng.integers(1, W + 1, size=(R, K, slots)) * rng.choice([-1, 1], size=(R, K, slots))
         table[:3, 0, :1100] = 1  # in three runs, node 1 listens only from slot 1100
         source = lambda ids, t0, T: table[ids, :, t0:t0 + T]  # noqa: E731
-        first = kernel.run_batch(source, np.arange(R), K, W, slots)
+        first = kernel.run_batch(source, R, K, W, slots)
         for r in range(R):
             want = np.array(brute_force_first_success(table[r]))
             assert np.array_equal(first[r], want), r
+
+    def test_run_batches_make_one_source_per_batch(self, monkeypatch):
+        # each batch's source comes from its own run ids, made once, and is
+        # asked only for that batch's rows
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 3 * kernel.run_bytes(4))
+        rng = np.random.default_rng(12)
+        K, W, R, slots = 4, 2, 8, 700
+        table = rng.integers(1, W + 1, size=(R, K, slots)) * rng.choice([-1, 1], size=(R, K, slots))
+        made = []
+
+        def actions(ids):
+            made.append(ids.tolist())
+
+            def source(rows, t0, T):
+                assert 0 <= rows.min() and rows.max() < ids.size
+                return table[ids[rows], :, t0:t0 + T]
+            return source
+        batches = list(kernel.run_batches(actions, R, K, W, slots))
+        assert made == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert [ids.tolist() for ids, _ in batches] == made
+        first = np.concatenate([got for _, got in batches])
+        for r in range(R):
+            assert np.array_equal(first[r], brute_force_first_success(table[r])), r
 
     @pytest.mark.parametrize("K, W", [(1, 1), (2, 1), (2, 2), (5, 2), (7, 3)])
     def test_pending_rows_over_chunks(self, monkeypatch, K, W):
@@ -263,31 +286,28 @@ class TestChunkLoop:
         rng = np.random.default_rng(10 * K + W)
         R, slots = 5, 3 * kernel.CHUNK_SLOTS + 76
         table = staggered_table(rng, R, K, W, slots)
-        ids = np.array([2, 5, 6, 8, 9])  # batch position r holds run ids[r]
-        runs = np.empty((ids.max() + 1, K, slots), dtype=table.dtype)
-        runs[ids] = table
         want = np.array([brute_force_first_success(t) for t in table])
         requests, evaluated = [], []
 
-        def source(asked, t0, T):
-            requests.append((t0, asked.tolist()))
-            return runs[asked, :, t0:t0 + T]
+        def source(rows, t0, T):
+            requests.append((t0, rows.tolist()))
+            return table[rows, :, t0:t0 + T]
 
         def logged(actions, W, pos, tx, channel=None):
-            asked = np.searchsorted(ids, requests[-1][1])  # batch positions
+            asked = np.array(requests[-1][1])
             evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
             return first_delivery(actions, W, pos, tx, channel)
 
         first_delivery = kernel.first_delivery
         monkeypatch.setattr(kernel, "first_delivery", logged)
-        first = kernel.run_batch(source, ids, K, W, slots)
+        first = kernel.run_batch(source, R, K, W, slots)
         assert np.array_equal(first, want)
 
         starts = [t0 for t0, _ in requests]
         assert starts == list(range(0, slots, kernel.CHUNK_SLOTS))[:len(starts)]
         for (t0, asked), rows in zip(requests, evaluated):
             pending = pending_at(want, t0)
-            assert asked == ids[pending.any(axis=1)].tolist(), t0
+            assert asked == np.flatnonzero(pending.any(axis=1)).tolist(), t0
             assert rows == set(zip(*np.nonzero(pending))), t0
         assert all(b <= a for a, b in zip(evaluated, evaluated[1:]))
         if K == 1:
@@ -304,11 +324,11 @@ class TestChunkLoop:
         K = 3
         codes = rng.integers(1, 3, size=(K, L)) * rng.choice([-1, 1], size=(K, L))
         taus = rng.integers(0, L, size=(4, K))
-        actions = kernel.cyclic_reads(codes, taus)
-        ids = np.array([3, 1])
+        source = kernel.cyclic_reads(codes)(taus)
+        rows = np.array([3, 1])
         for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS)):
-            got = actions(ids, t0, T)
-            for n, r in enumerate(ids):
+            got = source(rows, t0, T)
+            for n, r in enumerate(rows):
                 for x in range(K):
                     want = [codes[x, (t + taus[r, x]) % L] for t in range(t0, t0 + T)]
                     assert got[n, x].tolist() == want
@@ -316,7 +336,7 @@ class TestChunkLoop:
 
 def one_at_a_time(monkeypatch, config: SimConfig):
     monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
-    assert kernel.batch_runs(config.K) == 1
+    assert kernel.batch_runs(config.scheme.K) == 1
     result = simulate(config)
     monkeypatch.undo()
     return result
@@ -331,7 +351,7 @@ class TestBatchedSimulation:
     def test_batches_equal_single_runs(self, monkeypatch, scheme):
         # 1300 slots: two full chunks and a short one
         config = SimConfig(scheme, runs=70, seed=4, max_slots=1300, record_pairs=True)
-        assert kernel.batch_runs(config.K) < config.runs
+        assert kernel.batch_runs(config.scheme.K) < config.runs
         batched = simulate(config)
         single = one_at_a_time(monkeypatch, config)
         assert batched == single

@@ -124,6 +124,16 @@ class TestSuccessProbabilities:
         with pytest.raises(ValueError):
             AssignTRandomParams(0, 10, 0.1)
 
+    @pytest.mark.parametrize("W, K", [(0, 10), (-1, 10), (2, 1), (1, 0)])
+    def test_general_needs_a_channel_and_two_nodes(self, W, K):
+        with pytest.raises(ValueError, match="need W >= 1 and K >= 2"):
+            GeneralRandomParams(W, K, 0.01)
+
+    @pytest.mark.parametrize("K", [1, 0])
+    def test_single_channel_optimum_needs_two_nodes(self, K):
+        with pytest.raises(ValueError, match="need K >= 2"):
+            optimal_single_channel(K)
+
 
 class TestBisectStep:
     @pytest.mark.parametrize("lo,hi,step", [
@@ -196,6 +206,25 @@ class TestOptimizeRandom:
         # W = 0 used to escape as ZeroDivisionError, which the CLI does not catch
         with pytest.raises(ValueError):
             optimize_random(W, K, scheme)
+
+
+class TestCouponModel:
+    def test_null_coupon_takes_the_rest(self):
+        assert CouponModel(5, 0.2).p0 == pytest.approx(0.2, abs=1e-15)
+        assert CouponModel(3, 0.5).p0 == 0.0
+        model = CouponModel.from_optimal(18)
+        assert model.p0 == pytest.approx(1 - 17 * (17 ** 17 / 18 ** 18), abs=1e-15)
+
+    @pytest.mark.parametrize("K", [1, 0, -3])
+    def test_needs_two_nodes(self, K):
+        with pytest.raises(ValueError, match="need K >= 2"):
+            CouponModel(K, 0.1)
+
+    @pytest.mark.parametrize("P", [0.0, -0.1, 0.26, float("nan")])
+    def test_needs_a_probability_the_neighbours_share(self, P):
+        # four neighbours at K=5: (K-1) P may not pass 1
+        with pytest.raises(ValueError, match="need 0 < P"):
+            CouponModel(5, P)
 
 
 class TestCouponCdf:

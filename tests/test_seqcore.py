@@ -37,6 +37,10 @@ class TestSymbol:
         with pytest.raises(ValueError):
             Symbol.transmit(0)
 
+    def test_code_zero_is_no_symbol(self):
+        with pytest.raises(ValueError, match="0 is not a valid symbol code"):
+            Symbol.from_code(0)
+
 
 class TestCrtMap:
     def test_worked_values(self):
@@ -100,6 +104,12 @@ class TestCrtMap:
         with pytest.raises(ValueError):
             array_to_sequence(np.zeros((3, 4, 6), dtype=np.int16))
 
+    def test_sequence_to_array_needs_coprime_axes_and_their_length(self):
+        with pytest.raises(ValueError, match="must be coprime"):
+            sequence_to_array(np.zeros(24), 4, 6)
+        with pytest.raises(ValueError, match="rows\\*cols"):
+            sequence_to_array(np.zeros(14), 3, 5)
+
     def test_inverse_on_arrays_matches_scalars(self):
         p, q = 7, 11
         a = np.arange(p)[:, None]
@@ -137,6 +147,10 @@ class TestCyclicShift:
             cyclic_shift(s, 2)
         with pytest.raises(ValueError):
             cyclic_shift(s, -1)
+
+    def test_only_sequences_shift(self):
+        with pytest.raises(TypeError, match="cannot shift ndarray"):
+            cyclic_shift(np.array([1, 0, 1]), 1)
 
 
 class TestHammingCrossCorrelation:
@@ -180,6 +194,12 @@ class TestHammingCrossCorrelation:
             for tau in range(L):
                 assert prof[tau] == brute_force_cross_correlation(a, b, tau)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(5), np.ones(6)), (np.ones((2, 3)), np.ones((2, 3)))], ids=["lengths", "2-D"])
+    def test_profile_needs_equal_1d_arrays(self, a, b):
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            correlation_profile(a, b)
+
 
 class TestScheduleSequence:
     def test_assignment_constraint(self):
@@ -197,6 +217,38 @@ class TestScheduleSequence:
         seq = ScheduleSequence.from_symbols([Symbol.transmit(1), Symbol.receive(1)], 1)
         with pytest.raises(ValueError):
             seq.codes[0] = -1
+
+    def test_symbols_and_text(self):
+        symbols = (Symbol.transmit(2), Symbol.receive(1), Symbol.receive(3))
+        seq = ScheduleSequence.from_symbols(symbols, 2)
+        assert seq.symbols == symbols
+        assert str(seq) == "[T2 R1 R3]"
+
+    @pytest.mark.parametrize("codes, message", [
+        ([], "non-empty 1-D"),
+        (np.empty(0, dtype=np.int16), "non-empty 1-D"),
+        (np.array([[1, -1], [-1, 1]]), "non-empty 1-D"),
+        ([1, 0, -1], "symbol code 0"),
+    ], ids=["empty-list", "empty-array", "2-D", "zero-code"])
+    def test_rejects_codes_that_are_no_sequence(self, codes, message):
+        with pytest.raises(ValueError, match=message):
+            ScheduleSequence(codes, owner_group=1)
+
+    @pytest.mark.parametrize("group", [0, -1])
+    def test_rejects_an_owner_group_below_one(self, group):
+        with pytest.raises(ValueError, match="owner_group must be >= 1"):
+            ScheduleSequence(np.array([-1, -1], dtype=np.int16), owner_group=group)
+
+
+class TestBinarySequence:
+    @pytest.mark.parametrize("bits", [[], [[1, 0], [0, 1]]], ids=["empty", "2-D"])
+    def test_rejects_bits_that_are_no_sequence(self, bits):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            BinarySequence(np.array(bits))
+
+    def test_rejects_bits_other_than_zero_and_one(self):
+        with pytest.raises(ValueError, match="0/1"):
+            BinarySequence(np.array([1, 2, 0]))
 
 
 class TestGroupDivision:

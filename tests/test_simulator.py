@@ -109,7 +109,7 @@ class TestSimulateSequence:
                             offset_mode=OffsetVector(offsets, L))
             res = simulate(cfg)
             want = brute_force_completion(
-                three_node_set, {i + 1: offsets[i] for i in range(3)}, cfg.resolved_max_slots())
+                three_node_set, {i + 1: offsets[i] for i in range(3)}, cfg.scheme.max_slots(None))
             assert res.completion_times[0] == want
 
     def test_first_success_agrees_with_verifier(self, three_node_set):
@@ -157,6 +157,16 @@ class TestSimulateSequence:
         with pytest.raises(ValueError):
             SimConfig(AssignTRandomScheme(params), runs=1, max_slots=max_slots)
 
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_needs_a_run(self, runs):
+        with pytest.raises(ValueError, match="need at least one run"):
+            SimConfig(SequenceScheme(build_schedule_set(4, 2, W=2)), runs=runs)
+
+    @pytest.mark.parametrize("mode", ["staggered", "Uniform", ""])
+    def test_unknown_offset_mode_is_refused(self, mode):
+        with pytest.raises(ValueError, match="unknown offset mode"):
+            SimConfig(SequenceScheme(build_schedule_set(4, 2, W=2)), runs=1, offset_mode=mode)
+
     def test_fixed_offsets_must_match_shape(self):
         sset = build_schedule_set(4, 2, W=2)
         cfg = SimConfig(SequenceScheme(sset), runs=1,
@@ -196,6 +206,26 @@ class TestSimulateSequence:
         many, many_peak = traced(20_000)
         assert many_peak - few_peak <= 2 * 2 ** 20
         np.testing.assert_array_equal(many.completion_times[:200], few.completion_times)
+
+    def test_a_held_source_keeps_no_offset_table(self):
+        # until a batch starts, a uniform source holds a run's seed words
+        # (32 bytes), not its K offsets; zero and fixed offsets hold nothing
+        # per run.  All share the cyclic windows, K (L + CHUNK_SLOTS - 1) codes.
+        sset = build_schedule_set(18, 3, W=3)
+        scheme, runs = SequenceScheme(sset), 20_000
+        windows = sset.K * (sset.L + CHUNK_SLOTS - 1) * sset.codes_matrix().itemsize
+
+        def held(mode, runs):
+            tracemalloc.start()
+            try:
+                source = scheme.action_source(9, range(runs), mode)  # noqa: F841
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        held("uniform", 1)  # numpy.random and the stream caches load once
+        assert held("uniform", runs) <= 40 * runs + windows
+        for mode in ("zero", OffsetVector(tuple(range(18)), sset.L)):
+            assert held(mode, runs) <= held(mode, 1) + 1024, mode
 
 
 # seeds of one to six 32-bit words, below and above SeedSequence's 4-word pool
@@ -520,7 +550,8 @@ class TestTransmitChannels:
         scheme = drawn_scheme("assign_t", W, K, optimize_random(W, K, "assign_t")[0])
         channel = scheme.transmit_channels
         assert channel.tolist() == [x % W + 1 for x in range(K)]  # even division
-        actions = scheme.action_source(5, range(4), "uniform")(np.arange(4), 0, CHUNK_SLOTS)
+        source = scheme.action_source(5, range(4), "uniform")(np.arange(4))
+        actions = source(np.arange(4), 0, CHUNK_SLOTS)
         sends = actions > 0
         assert sends.any(axis=2).all()  # every node of every run sends in the chunk
         assert (actions == channel[:, None])[sends].all()
@@ -540,7 +571,7 @@ class TestActionMemory:
         actions = scheme.action_source(1, range(runs), "uniform")
         tracemalloc.start()
         try:
-            out = actions(np.arange(runs), 0, CHUNK_SLOTS)
+            out = actions(np.arange(runs))(np.arange(runs), 0, CHUNK_SLOTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -88,6 +88,10 @@ class TestCheckPairExhaustive:
                     rep = check_pair_exhaustive(three_node_set, i, j)
                     assert rep.verdict is Verdict.PROVEN, (i, j)
 
+    def test_a_node_is_no_pair_with_itself(self, three_node_set):
+        with pytest.raises(ValueError, match="must differ"):
+            check_pair_exhaustive(three_node_set, 2, 2)
+
     def test_deaf_receiver_fails(self, three_node_set):
         seqs = list(three_node_set.sequences)
         seqs[2] = ScheduleSequence.from_symbols([Symbol.transmit(2)] * 12, 2)
@@ -749,6 +753,11 @@ class TestBlockingRun:
         trace = blocking_run(e1, [zeros, zeros])
         assert trace.a == (3, 3, 3)
 
+    def test_competitors_share_the_period(self):
+        e1 = BinarySequence(np.array([1, 0, 1, 0, 1, 0]))
+        with pytest.raises(ValueError, match="share one period"):
+            blocking_run(e1, [e1, BinarySequence(np.array([1, 0, 0, 0, 0]))])
+
     def test_full_self_collision(self):
         e = BinarySequence(np.array([1, 1, 0, 0, 1, 0]))
         trace = blocking_run(e, [e])
@@ -853,6 +862,13 @@ class TestLowerBound:
     def test_worked_numbers(self):
         rep = lower_bound(4, 17, 4, 70)
         assert rep.combined == 857
+
+    @pytest.mark.parametrize("W, k, M, K", [
+        (0, 3, 2, 6), (3, 2, 2, 6), (2, 3, 7, 6), (2, 0, 2, 6)],
+        ids=["W=0", "W>M", "M>K", "k=0"])
+    def test_rejects_bad_parameters(self, W, k, M, K):
+        with pytest.raises(ValueError, match="need 1 <= W <= M <= K and k >= 1"):
+            lower_bound(W, k, M, K)
 
     def test_single_member_groups(self):
         assert lower_bound(1, 1, 1, 2).combined == 0
