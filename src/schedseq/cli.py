@@ -363,9 +363,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_index", "completion_time", "censored_flag"])
-        for r in range(result.runs):
-            writer.writerow([r, int(result.completion_times[r]),
-                             int(result.censored[r])])
+        writer.writerows(zip(range(result.runs), result.completion_times.tolist(),
+                             result.censored.astype(int).tolist()))
     hist = completion_histogram(result)
     _emit({
         "runs": result.runs, "seed": result.seed, "max_slots": result.max_slots,

@@ -47,10 +47,10 @@ def _key_hash(seed_words: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _generator_from_words() -> Callable[[np.ndarray], np.random.Generator]:
-    """Generator(PCG64) on four uint64 seed words.  numpy.random is imported
+def _pcg64_from_words() -> Callable[[np.ndarray], np.random.PCG64]:
+    """A bare PCG64 on four uint64 seed words.  numpy.random is imported
     here, so that commands that never simulate do not load it at start-up."""
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):  # PCG64 takes no other seed object
@@ -60,7 +60,15 @@ def _generator_from_words() -> Callable[[np.ndarray], np.random.Generator]:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 asks for 4 uint64 words
 
-    return lambda words: Generator(PCG64(SeedWords(words)))
+    return lambda words: PCG64(SeedWords(words))
+
+
+@cache
+def _generator_from_words() -> Callable[[np.ndarray], np.random.Generator]:
+    """Generator(PCG64) on four uint64 seed words."""
+    from numpy.random import Generator
+    pcg64 = _pcg64_from_words()
+    return lambda words: Generator(pcg64(words))
 
 
 class RunStreams:
@@ -95,10 +103,41 @@ class RunStreams:
             # numpy reads the output words in little-endian pairs
             out = out.reshape(-1, 8).astype("<u4", copy=False)
             self.words[lo:lo + len(part)] = out.view("<u8")
+        self._pcg64 = _pcg64_from_words()
         self._generator = _generator_from_words()
 
     def __getitem__(self, n: int) -> np.random.Generator:
         return self._generator(self.words[n])
+
+    def offsets(self, ids: np.ndarray, L: int, K: int) -> np.ndarray:
+        """The rows streams[n].integers(0, L, size=K) for n in ids, bit for bit.
+
+        numpy draws them by Lemire's method on 32-bit words when L <= 2**32:
+        word u gives u L >> 32 unless the low half of u L falls below
+        (2**32 - L) % L, when it is rejected and redrawn.  PCG64 hands out
+        a 64-bit word's low half first, so a run's K words are the
+        little-endian halves of its first ceil(K/2) raw words, drawn here
+        from a bare PCG64 and mapped for all rows in one array pass.  A
+        row with a rejection reads past those words, so its Generator
+        redraws it, as it does every row when L > 2**32 (numpy's 64-bit
+        path).
+        """
+        out = np.zeros((len(ids), K), dtype=np.int64)
+        if L == 1:
+            return out  # numpy draws nothing
+        redraw = range(len(ids))
+        if L <= 2**32:
+            half = -(-K // 2)
+            raw = np.empty((len(ids), half), dtype=np.uint64)
+            for i, r in enumerate(ids.tolist()):
+                raw[i] = self._pcg64(self.words[r]).random_raw(half)
+            m = raw.astype("<u8", copy=False).view("<u4")[:, :K].astype(np.uint64)
+            m *= np.uint64(L)
+            out[:] = m >> 32
+            redraw = np.flatnonzero((m.astype(np.uint32) < (2**32 - L) % L).any(axis=1)).tolist()
+        for i in redraw:
+            out[i] = self[ids[i]].integers(0, L, size=K)
+        return out
 
 
 class Scheme(Protocol):
@@ -158,8 +197,7 @@ class SequenceScheme:
         if offset_mode == "uniform":
             # a run's offsets are all it draws, made when its batch starts
             streams = RunStreams(seed, runs)
-            return lambda ids: reads(np.array(
-                [streams[r].integers(0, L, size=K) for r in ids.tolist()]))
+            return lambda ids: reads(streams.offsets(ids, L, K))
         if offset_mode == "zero":
             offset_mode = OffsetVector((0,) * K, L)
         if len(offset_mode.offsets) != K or offset_mode.period != L:

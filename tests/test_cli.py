@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -666,6 +668,26 @@ class TestSimulate:
                     "--seed", "7", "--threads", "1", "--out", str(path))
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_csv_bytes_equal_a_row_by_row_writer(self, capsys, tmp_path):
+        # a short slot cap censors some runs, so both flags appear
+        K, W, runs = 6, 2, 300
+        csv_path = tmp_path / "g.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--random", "--scheme", "general",
+                             "--K", str(K), "--W", str(W), "--runs", str(runs), "--seed", "5",
+                             "--max-slots", "40", "--threads", "1", "--out", str(csv_path))
+        assert code == 0
+        scheme = GeneralRandomScheme(GeneralRandomParams(W, K, optimize_random(W, K, "general")[0]))
+        res = simulate(SimConfig(scheme, runs=runs, seed=5, max_slots=40))
+        assert 0 < res.censored.sum() < runs
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["run_index", "completion_time", "censored_flag"])
+        for r in range(res.runs):
+            writer.writerow([r, int(res.completion_times[r]), int(res.censored[r])])
+        got = csv_path.read_bytes()
+        assert got == want.getvalue().encode()
+        assert got.count(b"\r\n") == runs + 1
 
     def test_random_scheme(self, capsys, tmp_path):
         csv_path = tmp_path / "r.csv"

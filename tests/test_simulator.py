@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from schedseq import simulator
 from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
 from schedseq.kernel import BATCH_BYTES, CHUNK_SLOTS, batch_runs, run_bytes
 from schedseq.random_schemes import (
@@ -175,14 +176,20 @@ class TestSimulateSequence:
             simulate(cfg)
 
     def test_only_drawn_offsets_build_generators(self, monkeypatch):
-        # zero and fixed offsets never draw, so they build no random stream
+        # zero and fixed offsets never draw, so they build no random stream;
+        # uniform offsets build one bare PCG64 a run, and a Generator for a
+        # row that RunStreams.offsets redraws
         made = []
-        make = RunStreams.__getitem__
 
-        def counting(streams, n):
-            made.append(n)
-            return make(streams, n)
-        monkeypatch.setattr(RunStreams, "__getitem__", counting)
+        def counted(factory):
+            make = factory()
+
+            def count(words):
+                made.append(words)
+                return make(words)
+            return lambda: count
+        for name in ("_pcg64_from_words", "_generator_from_words"):
+            monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
         sset = build_schedule_set(4, 2, W=2)
         for mode in ("zero", OffsetVector((0, 5, 9, 30), sset.L)):
             simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4, offset_mode=mode))
@@ -261,6 +268,31 @@ class TestRunStreams:
                                           numpy_stream(seed, k).generate_state(4, np.uint64))
         whole = RunStreams(seed, range(2 * _WORDS_BLOCK + 1)).words
         np.testing.assert_array_equal(whole[runs.start:runs.stop], words)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_offsets_equal_numpys_bounded_draws(self, seed, monkeypatch):
+        # small and large ranges, both sides of 2**31 and of 2**32, one
+        # value, odd and even K; 3 * 2**30 + 7 rejects about a quarter of
+        # its words, and 2**32 + 1 takes numpy's 64-bit path
+        redrawn = []
+        getitem = RunStreams.__getitem__
+
+        def counting(streams, n):
+            redrawn.append(n)
+            return getitem(streams, n)
+        monkeypatch.setattr(RunStreams, "__getitem__", counting)
+        streams = RunStreams(seed, range(5, 405))
+        ids = np.array([0, 3, 4, 17, 399, 100, 2])
+        for K in (1, 2, 5, 18, 150):
+            for L in (1, 2, 3, 60, 546, 18910, 2**31 - 1, 3 * 2**30 + 7, 2**32, 2**32 + 1):
+                got = streams.offsets(ids, L, K)
+                want = np.array([getitem(streams, n).integers(0, L, size=K) for n in ids])
+                assert got.dtype == want.dtype, (K, L)
+                np.testing.assert_array_equal(got, want, err_msg=f"K={K} L={L}")
+                if L == 3 * 2**30 + 7 and K >= 5:
+                    # one rejected word in 4 redraws nearly every such row
+                    assert redrawn, (K, L)
+                redrawn.clear()
 
     def test_negative_seed_is_numpys_error(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
