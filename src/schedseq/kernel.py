@@ -14,13 +14,14 @@ Otherwise every channel is a layer of its own.  `run_batch` feeds it
 chunk after chunk and keeps a (runs, K) mask of the transmitters still
 pending: one leaves once all of its receivers are served, and a run once
 all of its transmitters have.  `run_batches` walks a range of runs in
-batches that fit the byte budget, each with its own action source.  The
-simulator and the randomized verifier both go through here.
+batches that fit the byte budget on their path, each with its own action
+source.  Slot actions are one byte up to 127 channels (`action_dtype`).
+The simulator and the randomized verifier both go through here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,24 +40,40 @@ Source = Callable[[np.ndarray, int, int], np.ndarray]  # a batch's slot actions,
 Actions = Callable[[np.ndarray], Source]  # the source of a batch's run ids
 
 
-def run_bytes(K: int) -> int:
-    """Working set of one run in `run_batch`, in bytes.
+def run_bytes(K: int, W: int | None = None) -> int:
+    """Working set of one run in `run_batch`, in bytes: on the one-layer
+    path with W channels, or on the per-channel loop when W is None.
 
     This is the first chunk, when every transmitter row is pending; later
-    chunks evaluate fewer rows and need less.  Per node and slot there are
-    the slot actions and a few one-byte masks (transmit, clean, receive);
-    the (runs, W, T) clean table of the one-layer path adds at most one
-    more, as W <= K there.  Per ordered pair there are the (rows, K, 8)
-    hit words, their non-zero flags and about a dozen int64 temporaries
-    and results; the receive words, (runs, W, K, 8) in the one-layer path
-    and (runs, K, 8) per channel otherwise, fit in that allowance.
+    chunks evaluate fewer rows and need less.  In the loop, per node and
+    slot there are the slot actions and a few one-byte masks (transmit,
+    clean, receive), and per ordered pair the (rows, K, 8) hit words, their
+    non-zero flags and about a dozen int64 temporaries and results; the
+    (runs, K, 8) receive words of a channel fit in that allowance.  The
+    one-layer path holds three bytes per node and slot (the one-byte
+    actions, the transmit mask and the (runs, W, T) clean table, W <= K),
+    the (runs, W, K, 8) receive words, and per ordered pair the hit words,
+    their flags, the int64 temporaries of the first slot and the batch's
+    result; the constant covers a run's small arrays.  That estimate is
+    fitted to the traced peak of a whole first-chunk run_batch, source
+    included, at K = 2..150 and W = 1..K, with at least 4% to spare.
     """
-    return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
+    if W is None:
+        return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
+    return 4096 + 3 * K * CHUNK_SLOTS + 128 * K * K + 64 * W * K
 
 
-def batch_runs(K: int) -> int:
-    """Runs per batch: as many as fit BATCH_BYTES, and at least one."""
-    return max(1, BATCH_BYTES // run_bytes(K))
+def batch_runs(K: int, W: int | None = None) -> int:
+    """Runs per batch on run_bytes(K, W)'s path: as many as fit
+    BATCH_BYTES, and at least one."""
+    return max(1, BATCH_BYTES // run_bytes(K, W))
+
+
+def action_dtype(W: int) -> np.dtype:
+    """The narrowest signed integer type of slot actions on W channels,
+    -W..W: int8 up to W = 127.  A signed type holds W exactly when it
+    holds -(W + 1)."""
+    return np.min_scalar_type(-W - 1)
 
 
 def _pack(mask: np.ndarray) -> np.ndarray:
@@ -186,40 +203,47 @@ def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
         pos, tx = np.nonzero(pending[runs])
         got = first_delivery(source(runs, t0, T), W, pos, tx, channel)
         r = runs[pos]
-        part = first[r, tx]
-        part = np.where((part < 0) & (got >= 0), t0 + got, part)
-        first[r, tx] = part
+        if t0:  # before the first chunk nothing is served, so got stands
+            part = first[r, tx]
+            got = np.where((part < 0) & (got >= 0), t0 + got, part)
+        first[r, tx] = got
         # a node never hears itself, so its own column stays -1
-        pending[r, tx] = np.count_nonzero(part < 0, axis=1) > 1
+        pending[r, tx] = np.count_nonzero(got < 0, axis=1) > 1
     return first
 
 
 def run_batches(actions: Actions, runs: int, K: int, W: int, max_slots: int,
                 channel: np.ndarray | None = None
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """run_batch over runs [0, runs) in order, a batch of batch_runs(K) runs
-    at a time, each on the source actions(ids) of its run ids; yields each
-    batch's run ids and first delivery slots."""
-    batch = batch_runs(K)
+    """run_batch over runs [0, runs) in order, a batch of batch_runs runs at
+    a time (sized for the path that channel selects), each on the source
+    actions(ids) of its run ids; yields each batch's run ids and first
+    delivery slots."""
+    batch = batch_runs(K, None if channel is None else W)
     for lo in range(0, runs, batch):
         ids = np.arange(lo, min(lo + batch, runs))
         yield ids, run_batch(actions(ids), ids.size, K, W, max_slots, channel)
 
 
-def cyclic_reads(codes: np.ndarray) -> Callable[[np.ndarray], Source]:
+def cyclic_reads(codes: Sequence[np.ndarray], W: int) -> Callable[[np.ndarray], Source]:
     """Sources for periodic schedules read at per-run offsets.
 
-    codes is the (K, L) schedule table; reads(taus) is the source of a
-    batch whose row n reads node x's schedule at offset taus[n, x], so
-    that it acts in slot t as codes[x, (t + taus[n, x]) % L].  The wrapped
-    windows are built once and shared by every batch.  Chunks may be at
-    most CHUNK_SLOTS slots long.
+    codes holds the K schedule rows of a common period L, each acting on W
+    channels; reads(taus) is the source of a batch whose row n reads node
+    x's schedule at offset taus[n, x], so that it acts in slot t as
+    codes[x][(t + taus[n, x]) % L].  The wrapped windows are built once,
+    in action_dtype(W), and shared by every batch.  Chunks may be at most
+    CHUNK_SLOTS slots long.
     """
-    K, L = codes.shape
-    wrap = CHUNK_SLOTS - 1  # slots a window can run past the period
-    tail = np.tile(codes[:, :wrap], (1, -(-wrap // L)))[:, :wrap]
-    windows = sliding_window_view(np.concatenate([codes, tail], axis=1), CHUNK_SLOTS,
-                                  axis=1)
+    K, L = len(codes), len(codes[0])
+    wrapped = np.empty((K, L + CHUNK_SLOTS - 1), dtype=action_dtype(W))
+    np.stack(codes, out=wrapped[:, :L])
+    done = L  # a multiple of L until the last copy, so each copy stays in phase
+    while done < wrapped.shape[1]:
+        n = min(done, wrapped.shape[1] - done)
+        wrapped[:, done:done + n] = wrapped[:, :n]
+        done += n
+    windows = sliding_window_view(wrapped, CHUNK_SLOTS, axis=1)
     nodes = np.arange(K)
 
     def reads(taus: np.ndarray) -> Source:

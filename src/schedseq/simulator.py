@@ -193,7 +193,7 @@ class SequenceScheme:
 
     def action_source(self, seed, runs, offset_mode):
         K, L = self.K, self.sset.L
-        reads = kernel.cyclic_reads(self.sset.codes_matrix())
+        reads = kernel.cyclic_reads([s.codes for s in self.sset.sequences], self.W)
         if offset_mode == "uniform":
             # a run's offsets are all it draws, made when its batch starts
             streams = RunStreams(seed, runs)
@@ -224,8 +224,8 @@ class _DrawnScheme:
     scheme's float rule, and each of its steps is nondecreasing in u, so
     band k begins at one double, its edge, and u lies in band #(u >= edge).
     The edges are found once per scheme; a draw then becomes an action by
-    edge comparisons and a lookup in an int16 code table, one row per node
-    class, with no float arithmetic on the draw.
+    edge comparisons and a lookup in a code table of kernel.action_dtype,
+    one row per node class, with no float arithmetic on the draw.
     """
 
     @property
@@ -267,7 +267,7 @@ class _DrawnScheme:
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Symbol codes of uniform draws u, one row per node; the general
         scheme, whose nodes all act alike, takes any number of rows."""
-        out = np.empty(u.shape, dtype=np.int16)
+        out = np.empty(u.shape, dtype=self._lookup[0].dtype)
         self._codes_into(u, out, np.empty(u.shape, dtype=self._lookup[1].dtype),
                          np.empty(u.shape, dtype=bool))
         return out
@@ -277,7 +277,7 @@ class _DrawnScheme:
         own stream, turned into slot actions as codes() does.  A batch's
         streams live as long as its source."""
         streams = RunStreams(seed, runs)
-        index_dtype = self._lookup[1].dtype
+        code_dtype, index_dtype = (a.dtype for a in self._lookup)
 
         def actions(ids: np.ndarray) -> kernel.Source:
             rngs = [streams[r] for r in ids.tolist()]
@@ -286,7 +286,7 @@ class _DrawnScheme:
                 u = np.empty((self.K, T))
                 index = np.empty(u.shape, dtype=index_dtype)
                 hit = np.empty(u.shape, dtype=bool)
-                out = np.empty((rows.size, self.K, T), dtype=np.int16)
+                out = np.empty((rows.size, self.K, T), dtype=code_dtype)
                 for n, r in enumerate(rows.tolist()):
                     rngs[r].random(out=u)
                     self._codes_into(u, out[n], index, hit)
@@ -323,7 +323,7 @@ class AssignTRandomScheme(_DrawnScheme):
         """Row c - 1 holds the codes of the nodes whose own channel is c."""
         W = self.params.W
         table = np.array([[c, -c] + [-m for m in range(1, W + 1) if m != c]
-                          for c in range(1, W + 1)], dtype=np.int16)
+                          for c in range(1, W + 1)], dtype=kernel.action_dtype(W))
         return table, self.transmit_channels - 1
 
 
@@ -348,7 +348,7 @@ class GeneralRandomScheme(_DrawnScheme):
     def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
         W = self.params.W
         table = np.array([list(range(1, W + 1)) + list(range(-1, -W - 1, -1))],
-                         dtype=np.int16)
+                         dtype=kernel.action_dtype(W))
         return table, np.zeros(1, dtype=np.int64)
 
 

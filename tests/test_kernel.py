@@ -8,7 +8,7 @@ import pytest
 from schedseq import kernel
 from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
 from schedseq.random_schemes import AssignTRandomParams, GeneralRandomParams
-from schedseq.seqcore import ScheduleSequence
+from schedseq.seqcore import OffsetVector, ScheduleSequence
 from schedseq.simulator import (
     AssignTRandomScheme,
     GeneralRandomScheme,
@@ -105,7 +105,7 @@ def own_channel_actions(rng, R: int, K: int, channel: np.ndarray, W: int,
     if T > 2:
         actions[:, :, 1] = channel
         actions[:, :, 2] = -1
-    return actions.astype(np.int16)
+    return actions.astype(kernel.action_dtype(W))
 
 
 def rows_of(R: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +205,13 @@ class TestOneLayer:
     @pytest.mark.parametrize("K", [2, 18, 150])
     @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
     def test_one_batch_fits_its_budget(self, K, one_layer):
-        # the first chunk of a full batch, every row pending, with as many
-        # channels as nodes: the traced peak stays within run_bytes per run
+        # the first chunk of a full batch of the path's own size, every row
+        # pending, with as many channels as nodes: the traced peak stays
+        # within the path's run_bytes per run
         rng = np.random.default_rng(K)
-        R, W = kernel.batch_runs(K), K
+        W = K
+        path = W if one_layer else None
+        R = kernel.batch_runs(K, path)
         channel = rng.integers(1, W + 1, size=K)
         actions = own_channel_actions(rng, R, K, channel, W, kernel.CHUNK_SLOTS)
         pos, tx = rows_of(R, K)
@@ -218,7 +221,116 @@ class TestOneLayer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert actions.nbytes + peak <= R * kernel.run_bytes(K), (peak, R)
+        assert actions.nbytes + peak <= R * kernel.run_bytes(K, path), (peak, R)
+
+
+def one_node_per_group(W: int, L: int, rng) -> ScheduleSequenceSet:
+    """K = W nodes, node x (from 0) alone in group W - x: it transmits on
+    that channel in about 3 of 5 slots and listens to any channel in the
+    others.  In slot 0 node 0 transmits on channel W and the rest listen to
+    it, so the widest codes, +W and -W, both carry deliveries."""
+    seqs = []
+    for x in range(W):
+        codes = np.where(rng.random(L) < 0.6, W - x, -rng.integers(1, W + 1, size=L))
+        codes[0] = W if x == 0 else -W
+        seqs.append(ScheduleSequence(codes, W - x))
+    return ScheduleSequenceSet(tuple(seqs))
+
+
+def read_at(sset: ScheduleSequenceSet, taus, slots: int) -> np.ndarray:
+    """(K, slots) actions of the set read at offsets taus, slot by slot."""
+    return np.array([[int(s.codes[(t + tau) % sset.L]) for t in range(slots)]
+                     for s, tau in zip(sset.sequences, taus)])
+
+
+def batch_of(scheme) -> int:
+    """Runs per batch that run_batches gives the scheme's kernel path."""
+    one_layer = scheme.transmit_channels is not None
+    return kernel.batch_runs(scheme.K, scheme.W if one_layer else None)
+
+
+class TestBatchMemory:
+    """A whole first-chunk run_batch of the kernel's own batch size, source
+    included, stays within BATCH_BYTES, or within one run's estimate when
+    that is larger."""
+
+    @pytest.mark.parametrize("K, W", [(K, W) for K in (2, 4, 9, 18, 40, 150)
+                                      for W in sorted({1, min(3, K), K})])
+    @pytest.mark.parametrize("kind", ["sequence", "assign_t"])
+    def test_one_layer_batch(self, kind, K, W):
+        rng = np.random.default_rng(K + W)
+        if kind == "sequence":
+            channel = np.arange(K) % W + 1
+            L = 600  # longer than a chunk, so windows start anywhere in the period
+            codes = np.where(rng.random((K, L)) < 0.3, channel[:, None],
+                             -rng.integers(1, W + 1, size=(K, L)))
+            scheme = SequenceScheme(ScheduleSequenceSet(tuple(
+                ScheduleSequence(row, c) for row, c in zip(codes, channel))))
+        else:
+            scheme = AssignTRandomScheme(AssignTRandomParams(W, K, 0.5 / K))
+        runs = kernel.batch_runs(K, W)  # both schemes fix each transmit channel
+        actions = scheme.action_source(3, range(runs), "uniform")
+        tracemalloc.start()
+        try:
+            # the source's (runs, K, CHUNK_SLOTS) actions are made in the trace
+            first = kernel.run_batch(actions(np.arange(runs)), runs, K, W,
+                                     kernel.CHUNK_SLOTS, scheme.transmit_channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (runs, K, K)
+        assert peak <= max(kernel.BATCH_BYTES, kernel.run_bytes(K, W)), (peak, runs)
+
+
+class TestActionDtype:
+    """Slot actions are int8 up to W = 127 and int16 from W = 128; both
+    sides of the switch against slot-by-slot replays."""
+
+    @pytest.mark.parametrize("W", [127, 128])
+    def test_simulate_matches_slot_replay(self, W):
+        sset = one_node_per_group(W, 45, np.random.default_rng(W))
+        max_slots = 100
+        assert kernel.action_dtype(W) == (np.int8 if W == 127 else np.int16)
+        runs, seed = 2, 5
+        uniform = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                   .integers(0, sset.L, size=W) for k in range(runs)]
+        fixed = tuple(int(t) for t in np.random.default_rng(1).integers(0, sset.L, size=W))
+        for mode, offsets in (("uniform", uniform),
+                              (OffsetVector(fixed, sset.L), [fixed] * runs)):
+            res = simulate(SimConfig(SequenceScheme(sset), runs=runs, seed=seed,
+                                     max_slots=max_slots, offset_mode=mode,
+                                     record_pairs=True))
+            for r, taus in enumerate(offsets):
+                want = np.array(brute_force_first_success(read_at(sset, taus, max_slots)))
+                assert np.array_equal(res.per_pair_first_success[r], want), (mode, r)
+                assert (want[0, 1:] >= 0).any()  # channel W carries deliveries
+
+    @pytest.mark.parametrize("W", [127, 128])
+    def test_randomized_verify_matches_slot_replay(self, W):
+        # node 1 sends on channel W, so the witness is the first receiver it
+        # misses, which varies with the offsets
+        sset = one_node_per_group(W, 45, np.random.default_rng(W))
+        off_diag = ~np.eye(W, dtype=bool)
+        witnesses = set()
+        for seed in range(4):
+            report = verify_set(sset, mode="randomized", samples=3, seed=seed)
+            taus = np.random.default_rng(seed).integers(0, sset.L, size=(3, W))
+            for n, row in enumerate(taus):
+                unserved = (np.array(brute_force_first_success(read_at(sset, row, sset.L))) < 0)
+                unserved &= off_diag
+                if unserved.any():
+                    i, j = (x + 1 for x in divmod(int(unserved.argmax()), W))
+                    assert report.verdict is Verdict.FAILED_WITH_WITNESS
+                    assert report.pairs_checked == (n + 1) * W * (W - 1)
+                    w = report.witness
+                    # i is alone in its group, so the witness keeps i and j
+                    assert (w.transmitter, w.receiver) == (i, j)
+                    assert w.offsets == {x: int(row[x - 1]) for x in sorted({i, j})}
+                    witnesses.add((i, j))
+                    break
+            else:
+                assert report.verdict is Verdict.UNKNOWN
+        assert len(witnesses) > 1
 
 
 def staggered_table(rng, R: int, K: int, W: int, slots: int) -> np.ndarray:
@@ -324,10 +436,11 @@ class TestChunkLoop:
         K = 3
         codes = rng.integers(1, 3, size=(K, L)) * rng.choice([-1, 1], size=(K, L))
         taus = rng.integers(0, L, size=(4, K))
-        source = kernel.cyclic_reads(codes)(taus)
+        source = kernel.cyclic_reads(list(codes), 2)(taus)
         rows = np.array([3, 1])
         for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS)):
             got = source(rows, t0, T)
+            assert got.dtype == np.int8
             for n, r in enumerate(rows):
                 for x in range(K):
                     want = [codes[x, (t + taus[r, x]) % L] for t in range(t0, t0 + T)]
@@ -336,7 +449,7 @@ class TestChunkLoop:
 
 def one_at_a_time(monkeypatch, config: SimConfig):
     monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
-    assert kernel.batch_runs(config.scheme.K) == 1
+    assert batch_of(config.scheme) == 1
     result = simulate(config)
     monkeypatch.undo()
     return result
@@ -351,7 +464,7 @@ class TestBatchedSimulation:
     def test_batches_equal_single_runs(self, monkeypatch, scheme):
         # 1300 slots: two full chunks and a short one
         config = SimConfig(scheme, runs=70, seed=4, max_slots=1300, record_pairs=True)
-        assert kernel.batch_runs(config.scheme.K) < config.runs
+        assert batch_of(config.scheme) < config.runs
         batched = simulate(config)
         single = one_at_a_time(monkeypatch, config)
         assert batched == single
@@ -370,7 +483,7 @@ class TestBatchedSimulation:
 
     def test_threads_split_a_batch(self):
         sset = build_schedule_set(4, 2, W=2)
-        batch = kernel.batch_runs(sset.K)
+        batch = kernel.batch_runs(sset.K, sset.W)  # the one-layer path's batch
         runs = 3 * batch + 5
         assert (runs // 2) % batch != 0  # the two workers' ranges split a batch
         config = SimConfig(SequenceScheme(sset), runs=runs, seed=6, record_pairs=True)
@@ -461,11 +574,32 @@ class TestRandomizedVerify:
                                threads=threads)
                     for sset, samples in cases for seed in range(5)]
         serial = reports()
-        assert kernel.batch_runs(4) < 512  # default batches cut a draw short
+        assert kernel.batch_runs(4, 2) < 512  # default batches cut a draw short
         assert reports(threads=2) == serial
         monkeypatch.setattr(kernel, "BATCH_BYTES", 1)
-        assert kernel.batch_runs(6) == 1
+        assert kernel.batch_runs(6, 3) == 1
         assert reports() == serial
+
+    def test_refuted_k18_set_ignores_batch_size_and_threads(self, monkeypatch):
+        # The paper's K=18, M=3 set with node 2 deaf to channel 2 in all but
+        # 100 of its slots: seed 1 first fails at sample 409, in the 32nd
+        # default batch of 13 runs and the 4th of 8x that budget; seed 3
+        # answers UNKNOWN over both offset draws.
+        sset = partly_deaf(build_schedule_set(18, 3, W=3), 2, 2, 100, np.random.default_rng(18))
+
+        def reports(threads):
+            return [verify_set(sset, mode="randomized", samples=600, seed=seed, threads=threads)
+                    for seed in (1, 3)]
+        serial = reports(1)
+        assert [r.verdict for r in serial] == [Verdict.FAILED_WITH_WITNESS, Verdict.UNKNOWN]
+        assert serial[0].pairs_checked == 410 * 18 * 17
+        w = serial[0].witness
+        assert not pair_ok_for_offsets(sset, w.transmitter, w.receiver, w.offsets)
+        default = kernel.BATCH_BYTES
+        for budget in (1, default, 8 * default):
+            monkeypatch.setattr(kernel, "BATCH_BYTES", budget)
+            for threads in (1, 2):
+                assert reports(threads) == serial, (budget, threads)
 
     def test_threads_give_the_serial_report(self):
         # Two nodes that each send in one slot of 1500 fail when their
@@ -492,13 +626,13 @@ class TestRandomizedVerify:
         assert outcomes == {"unknown", "draw 0", "draw 1"}
 
     def test_k150_stays_within_the_byte_budget(self):
-        # The budget covers one batch of runs; the slack is the (K, L)
-        # schedule table and its wrapped copy (K x (L + 511) slots), int16,
-        # plus 1 MB of small arrays.
+        # The budget covers one batch of runs on the one-layer path; the
+        # slack is the wrapped schedule windows (K x (L + 511) slots, one
+        # byte each), plus 1 MB of small arrays.
         sset = build_schedule_set(150, 5)
         K, L = sset.K, sset.L
-        budget = max(kernel.BATCH_BYTES, kernel.run_bytes(K))
-        slack = 2 * K * (L + kernel.CHUNK_SLOTS) * 2 + 2 ** 20
+        budget = max(kernel.BATCH_BYTES, kernel.run_bytes(K, sset.W))
+        slack = K * (L + kernel.CHUNK_SLOTS) + 2 ** 20
         tracemalloc.start()
         try:
             report = verify_set(sset, mode="randomized", samples=3, seed=0)

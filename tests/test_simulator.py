@@ -220,7 +220,7 @@ class TestSimulateSequence:
         # per run.  All share the cyclic windows, K (L + CHUNK_SLOTS - 1) codes.
         sset = build_schedule_set(18, 3, W=3)
         scheme, runs = SequenceScheme(sset), 20_000
-        windows = sset.K * (sset.L + CHUNK_SLOTS - 1) * sset.codes_matrix().itemsize
+        windows = sset.K * (sset.L + CHUNK_SLOTS - 1)  # one byte an action
 
         def held(mode, runs):
             tracemalloc.start()
@@ -449,7 +449,8 @@ class TestCodeMapsAgainstBands:
         want = [[self.assign_t_action(params, g, float(v)) for v in u] for g in own]
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("W", [1, 2, 3, 4])
+    # W = 127 and 128 sit on either side of the int8/int16 switch of the codes
+    @pytest.mark.parametrize("W", [1, 2, 3, 4, 127, 128])
     @pytest.mark.parametrize("share", [0.1, 0.5, 0.93])
     def test_general(self, W, share):
         params = GeneralRandomParams(W, 5, share / W)
@@ -459,6 +460,7 @@ class TestCodeMapsAgainstBands:
         got = GeneralRandomScheme(params).codes(np.tile(u, (5, 1)))
         want = [self.general_action(params, float(v)) for v in u]
         assert got.tolist() == [want] * 5
+        assert got.dtype == (np.int8 if W <= 127 else np.int16)
 
     # Every double within 8 ulps of each float band sum and of each edge the
     # scheme found, also for p near 0 or 1, one or six channels, and
@@ -597,9 +599,11 @@ class TestActionMemory:
     @pytest.mark.parametrize("kind", ["assign_t", "general"])
     def test_one_chunk_fits_the_batch_budget(self, kind, K):
         # the kernel's promise: a batch's working set is bounded by
-        # BATCH_BYTES, or by one run's when that alone is larger
+        # BATCH_BYTES, or by one run's when that alone is larger; AssignT
+        # batches are sized for the one-layer path, general ones for the loop
         scheme = drawn_scheme(kind, 3, K, optimize_random(3, K, kind)[0])
-        runs = batch_runs(K)
+        W = 3 if kind == "assign_t" else None
+        runs = batch_runs(K, W)
         actions = scheme.action_source(1, range(runs), "uniform")
         tracemalloc.start()
         try:
@@ -608,7 +612,7 @@ class TestActionMemory:
         finally:
             tracemalloc.stop()
         assert out.shape == (runs, K, CHUNK_SLOTS)
-        assert peak <= max(BATCH_BYTES, run_bytes(K))
+        assert peak <= max(BATCH_BYTES, run_bytes(K, W))
 
     @pytest.mark.parametrize("scheme", [
         AssignTRandomScheme(AssignTRandomParams(2, 6, 0.2)),
