@@ -17,6 +17,13 @@ all of its transmitters have.  `run_batches` walks a range of runs in
 batches that fit the byte budget on their path, each with its own action
 source.  Slot actions are one byte up to 127 channels (`action_dtype`).
 The simulator and the randomized verifier both go through here.
+
+A late chunk, with only a few rows left, is judged at its rows' transmit
+slots alone: each such (row, slot) event reads its run's slot column,
+and is clean when exactly one node acts on the row's channel there.
+`first_delivery` takes that path when the events' arrays stay within one
+bool mask over the chunk's slots (`_sparse`), and the dense path
+otherwise, as in a first chunk, where every row is pending.
 """
 
 from __future__ import annotations
@@ -45,21 +52,22 @@ def run_bytes(K: int, W: int | None = None) -> int:
     path with W channels, or on the per-channel loop when W is None.
 
     This is the first chunk, when every transmitter row is pending; later
-    chunks evaluate fewer rows and need less.  In the loop, per node and
-    slot there are the slot actions and a few one-byte masks (transmit,
-    clean, receive), and per ordered pair the (rows, K, 8) hit words, their
-    non-zero flags and about a dozen int64 temporaries and results; the
-    (runs, K, 8) receive words of a channel fit in that allowance.  The
-    one-layer path holds three bytes per node and slot (the one-byte
-    actions, the transmit mask and the (runs, W, T) clean table, W <= K),
-    the (runs, W, K, 8) receive words, and per ordered pair the hit words,
-    their flags, the int64 temporaries of the first slot and the batch's
-    result; the constant covers a run's small arrays.  That estimate is
-    fitted to the traced peak of a whole first-chunk run_batch, source
-    included, at K = 2..150 and W = 1..K, with at least 4% to spare.
+    chunks evaluate fewer rows and need less.  The loop holds four bytes
+    per node and slot (the one-byte actions, the rows' own actions and a
+    channel's transmit and receive masks), and per ordered pair the
+    (rows, K, 8) hit words and the buffer of a channel's receive words,
+    their non-zero flags, the int64 temporaries of the first slot and the
+    batch's result.  The one-layer path holds three bytes per node and
+    slot (the one-byte actions, the transmit mask and the (runs, W, T)
+    clean table, W <= K), the (runs, W, K, 8) receive words, and per
+    ordered pair the hit words, their flags, the int64 temporaries of the
+    first slot and the batch's result.  The constants cover a run's small
+    arrays.  Both estimates are fitted to the traced peak of a whole
+    first-chunk run_batch, source included, at K = 2..150 and W = 1..K,
+    with at least 4% of the budget to spare.
     """
     if W is None:
-        return K * CHUNK_SLOTS * 8 + K * K * (CHUNK_SLOTS // 8 + CHUNK_SLOTS // 64 + 96)
+        return 1536 + 4 * K * CHUNK_SLOTS + 150 * K * K
     return 4096 + 3 * K * CHUNK_SLOTS + 128 * K * K + 64 * W * K
 
 
@@ -96,6 +104,8 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
     1..W: node x transmits on channel[x] or not at all, and listens to any
     channel.  Then only channel m's own nodes can collide on m, and the
     whole chunk is one layer; otherwise each channel is a layer of its own.
+    When the rows transmit in few slots, as in a late chunk, the chunk is
+    judged at those slots alone instead (`_sparse`, `_event_slots`).
     """
     R, K, T = actions.shape
     if T > CHUNK_SLOTS:
@@ -104,23 +114,73 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
     if pad:
         actions = np.concatenate(
             [actions, np.zeros((R, K, pad), dtype=actions.dtype)], axis=2)
+    row_actions = actions[pos, tx]
+    send_words = _pack(row_actions > 0)  # the rows' transmit slots
+    if _sparse(send_words, R, K, T):
+        return _event_slots(actions, pos, row_actions)
     if channel is None:
-        return _first_slot(_channel_layers(actions, W, pos, tx))
-    return _first_slot(_one_layer(actions, W, pos, tx, channel))
+        return _first_slot(_channel_layers(actions, W, pos, row_actions))
+    del row_actions  # freed before the one-layer path's masks are built
+    return _first_slot(_one_layer(actions, W, pos, tx, channel, send_words))
+
+
+def _sparse(send_words: np.ndarray, R: int, K: int, T: int) -> bool:
+    """Whether a chunk of R runs, K nodes and T slots is judged at its
+    requested rows' transmit slots alone: whether those rows' packed
+    transmit slots, send_words, hold few enough events E.  The event path
+    holds about 3 bytes per event and node (its one-byte columns and masks
+    and int16 slots) and 32 per event (int64 indices).  At 4 and 32 that
+    stays within one bool mask over the chunk's slots, which each dense
+    path builds besides its other arrays."""
+    limit = R * K * T // (4 * (K + 8))  # E <= limit exactly when 4 E (K + 8) <= R K T
+    # a word with a transmit slot holds at least one event, so counting
+    # words settles most dense chunks before their bits are counted
+    return (np.count_nonzero(send_words) <= limit
+            and int(np.bitwise_count(send_words).sum()) <= limit)
+
+
+def _event_slots(actions: np.ndarray, pos: np.ndarray,
+                 row_actions: np.ndarray) -> np.ndarray:
+    """first_delivery judged at the rows' transmit slots alone.
+
+    row_actions is the rows' own (rows, T) actions, actions[pos, tx].  An
+    event (row p, slot t) where row p transmits reads slot t of run pos[p]
+    once, as a (K,) column.  It is clean when exactly one node of that
+    column acts on the row's own channel, the row's own action, and it
+    then reaches every node listening to that channel.  The events are
+    listed row by row in slot order, so each pair's first slot is the
+    least over its row's clean events that reach it."""
+    K = actions.shape[1]
+    first = np.full((pos.size, K), -1, dtype=np.int64)
+    p, t = np.divmod(np.flatnonzero(row_actions > 0), row_actions.shape[1])
+    columns = actions[pos[p], :, t]  # (events, K)
+    own = row_actions[p, t][:, None]
+    clean = np.add.reduce(columns == own, axis=1, dtype=np.min_scalar_type(K)) == 1
+    if not clean.any():
+        return first
+    p, t = p[clean], t[clean]
+    hears = columns[clean] == -own[clean]
+    del columns
+    slots = np.where(hears, t.astype(np.int16)[:, None], np.int16(CHUNK_SLOTS))
+    starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
+    least = np.minimum.reduceat(slots, starts, axis=0)
+    first[p[starts]] = np.where(least < CHUNK_SLOTS, least, -1)
+    return first
 
 
 def _channel_layers(actions: np.ndarray, W: int, pos: np.ndarray,
-                    tx: np.ndarray) -> np.ndarray:
+                    row_actions: np.ndarray) -> np.ndarray:
     """Hit words of first_delivery's rows, (rows, K, T / 64), one channel
-    at a time: its clean transmit slots against its receive slots."""
+    at a time: its clean transmit slots against its receive slots.
+    row_actions is the rows' own actions, actions[pos, tx]."""
     R, K, T = actions.shape
     count_dtype = np.min_scalar_type(K)  # holds a count of up to K transmitters
-    row_actions = actions[pos, tx]
     hits = np.zeros((pos.size, K, T // 64), dtype=np.uint64)
     got = np.empty_like(hits)
     for m in range(1, W + 1):
         clean = np.add.reduce(actions == m, axis=1, dtype=count_dtype) == 1
-        sends = _pack((row_actions == m) & clean[pos])
+        sends = _pack(row_actions == m)
+        sends &= _pack(clean)[pos]
         # mode="clip" writes straight into got; the default buffers a copy
         np.take(_pack(actions == -m), pos, axis=0, out=got, mode="clip")
         got &= sends[:, None, :]
@@ -129,12 +189,13 @@ def _channel_layers(actions: np.ndarray, W: int, pos: np.ndarray,
 
 
 def _one_layer(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
-               channel: np.ndarray) -> np.ndarray:
+               channel: np.ndarray, send_words: np.ndarray) -> np.ndarray:
     """Hit words of first_delivery's rows when node x transmits on channel[x]
-    alone: each row meets the receive words of its transmitter's channel."""
+    alone: each row meets the receive words of its transmitter's channel.
+    send_words are the rows' packed transmit slots."""
     R, K, T = actions.shape
     row_channel = channel[tx] - 1
-    txw = _clean_sends(actions, W, pos, tx, channel, row_channel)
+    txw = _clean_sends(actions, W, pos, channel, row_channel, send_words)
     rxw = np.empty((R, W, K, T // 64), dtype=np.uint64)
     for m in range(1, W + 1):
         rxw[:, m - 1] = _pack(actions == -m)
@@ -143,8 +204,8 @@ def _one_layer(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
     return hits
 
 
-def _clean_sends(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
-                 channel: np.ndarray, row_channel: np.ndarray) -> np.ndarray:
+def _clean_sends(actions: np.ndarray, W: int, pos: np.ndarray, channel: np.ndarray,
+                 row_channel: np.ndarray, send_words: np.ndarray) -> np.ndarray:
     """Packed clean transmit slots of first_delivery's rows, each channel's
     transmitters counted over its own nodes alone.  Its own function, so
     that its slot masks are freed before the receive words are built."""
@@ -155,9 +216,9 @@ def _clean_sends(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
     for m in range(1, W + 1):
         counts = np.add.reduce(on[:, channel == m], axis=1, dtype=count_dtype)
         np.equal(counts, 1, out=clean[:, m - 1])
-    sends = on[pos, tx]
-    sends &= clean[pos, row_channel]
-    return _pack(sends)
+    words = _pack(clean)[pos, row_channel]
+    words &= send_words
+    return words
 
 
 def _ctz(x: np.ndarray) -> np.ndarray:

@@ -23,8 +23,10 @@ def map_ranges(fn: Callable[[int, int], Any], stop: int, threads: int) -> Iterat
     iterator stops the workers still running.  Each worker sends down a
     pipe of its own: multiprocessing.Pool's workers share a locked result
     queue, and stopping one that holds the lock can leave Pool.terminate
-    waiting for ever.
+    waiting for ever.  threads below 1 is a ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = max(1, min(threads, stop))
     if n == 1:
         yield fn(0, stop)

@@ -519,6 +519,16 @@ class TestVerify(_VerifyFileCases):
                                  "--mode", "randomized", "--samples", samples)
         assert code == 1 and "samples" in err and out == ""
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "conservative", "randomized"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_fewer_than_one_thread_exit_1(self, capsys, tmp_path, three_node_set, mode,
+                                          threads):
+        path = tmp_path / "ref.json"
+        save_set(three_node_set, str(path))
+        code, out, err = run_cli(capsys, "verify", "--in", str(path), "--mode", mode,
+                                 "--threads", threads)
+        assert (code, out) == (1, "") and f"threads must be >= 1, got {threads}" in err
+
     def test_conservative_mode(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",
@@ -737,6 +747,20 @@ class TestSimulate:
                                  "--seed", "-1", "--offsets", offsets, "--threads", "1",
                                  "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (1, "") and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("source", [["--in"], ["--random", "--K", "6"]], ids=["in", "random"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_fewer_than_one_thread_exit_1(self, capsys, tmp_path, source, threads):
+        if source == ["--in"]:
+            set_path = tmp_path / "s.json"
+            run_cli(capsys, "generate", "--K", "4", "--M", "2", "--W", "2",
+                    "--out", str(set_path))
+            source = ["--in", str(set_path)]
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", *source, "--runs", "5",
+                                 "--threads", threads, "--out", str(csv_path))
+        assert (code, out) == (1, "") and f"threads must be >= 1, got {threads}" in err
+        assert not csv_path.exists()
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--runs", "5",

@@ -1,5 +1,6 @@
 """The bit-packed collision kernel against slot-by-slot oracles."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -31,11 +32,58 @@ def random_actions(rng, R: int, K: int, W: int, T: int) -> np.ndarray:
     return actions
 
 
+@contextlib.contextmanager
+def rule_forced(sparse: bool):
+    """first_delivery's choice of path forced: the event path when sparse,
+    the dense path otherwise."""
+    rule = kernel._sparse
+    kernel._sparse = lambda send_words, R, K, T: sparse
+    try:
+        yield
+    finally:
+        kernel._sparse = rule
+
+
+@contextlib.contextmanager
+def path_log():
+    """The rule's choices, in call order, as a list of True (events) and
+    False (dense)."""
+    rule, log = kernel._sparse, []
+
+    def logged(send_words, R, K, T):
+        log.append(rule(send_words, R, K, T))
+        return log[-1]
+    kernel._sparse = logged
+    try:
+        yield log
+    finally:
+        kernel._sparse = rule
+
+
+def on_every_path(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+                  channel: np.ndarray | None = None) -> np.ndarray:
+    """first_delivery's table, checked equal to the event function called
+    directly and to first_delivery with its rule forced either way; with
+    each node's transmit channel given, also to both ways of the
+    per-channel loop."""
+    got = kernel.first_delivery(actions, W, pos, tx, channel)
+    tables = [kernel._event_slots(actions, pos, actions[pos, tx])]
+    for sparse in (True, False):
+        with rule_forced(sparse):
+            tables.append(kernel.first_delivery(actions, W, pos, tx, channel))
+            if channel is not None:
+                tables.append(kernel.first_delivery(actions, W, pos, tx))
+    for n, table in enumerate(tables):
+        assert np.array_equal(table, got), n
+    return got
+
+
 def every_row(actions: np.ndarray, W: int) -> np.ndarray:
-    """first_delivery over every transmitter row of every run, as (R, K, K)."""
+    """first_delivery over every transmitter row of every run, as (R, K, K),
+    on every path."""
     R, K, _ = actions.shape
     pos, tx = np.divmod(np.arange(R * K), K)
-    return kernel.first_delivery(actions, W, pos, tx).reshape(R, K, K)
+    return on_every_path(actions, W, pos, tx).reshape(R, K, K)
 
 
 class TestFirstDelivery:
@@ -61,9 +109,9 @@ class TestFirstDelivery:
             actions = random_actions(rng, 4, K, W, T)
             want = np.stack([brute_force_first_success(a) for a in actions])
             assert np.array_equal(every_row(actions, W), want), W
-            got = kernel.first_delivery(actions, W, pos, tx)
+            got = on_every_path(actions, W, pos, tx)
             assert np.array_equal(got, want[pos, tx]), W
-            assert kernel.first_delivery(actions, W, pos[:0], tx[:0]).shape == (0, K)
+            assert on_every_path(actions, W, pos[:0], tx[:0]).shape == (0, K)
 
     def test_collision_and_silence_deliver_nothing(self):
         K, T = 5, 70
@@ -83,6 +131,24 @@ class TestFirstDelivery:
         first = every_row(actions, 1)[0]
         assert np.array_equal(first, brute_force_first_success(actions[0]))
         assert (first[0, 1:] == 9).all() and (first[1:] == -1).all()
+
+    def test_rows_without_transmit_slots(self):
+        # requested rows that never transmit in the chunk sit between rows
+        # that do, and in run 1 no requested row transmits at all
+        rng = np.random.default_rng(6)
+        K, W, T = 7, 2, 100
+        actions = random_actions(rng, 2, K, W, T)
+        actions[0, [1, 4]] = -1
+        actions[1, [0, 2]] = -2
+        pos = np.array([0, 0, 0, 0, 1, 1])
+        tx = np.array([0, 1, 3, 4, 0, 2])
+        got = on_every_path(actions, W, pos, tx)
+        want = np.stack([brute_force_first_success(a) for a in actions])
+        assert np.array_equal(got, want[pos, tx])
+        assert (got[[1, 3, 4, 5]] == -1).all() and (got[[0, 2]] >= 0).any()
+        with path_log() as log:
+            assert np.array_equal(kernel.first_delivery(actions, W, pos[4:], tx[4:]), got[4:])
+        assert log == [True]  # no event at all
 
     def test_single_transmitter_reaches_its_channel_only(self):
         # node 0 sends on channel 2 in slot 66; node 1 listens to 2, node 2 to 1
@@ -123,7 +189,7 @@ class TestOneLayer:
             channel = rng.integers(1, W + 1, size=K)
             actions = own_channel_actions(rng, 3, K, channel, W, T)
             pos, tx = rows_of(3, K)
-            got = kernel.first_delivery(actions, W, pos, tx, channel)
+            got = on_every_path(actions, W, pos, tx, channel)
             assert np.array_equal(got, kernel.first_delivery(actions, W, pos, tx)), (K, W)
             got = got.reshape(3, K, K)
             for r in range(3):
@@ -135,7 +201,7 @@ class TestOneLayer:
         channel = np.ones(K, dtype=np.int64)
         actions = own_channel_actions(rng, 2, K, channel, 1, T)
         pos, tx = rows_of(2, K)
-        got = kernel.first_delivery(actions, 1, pos, tx, channel).reshape(2, K, K)
+        got = on_every_path(actions, 1, pos, tx, channel).reshape(2, K, K)
         for r in range(2):
             assert np.array_equal(got[r], brute_force_first_success(actions[r]))
         assert (got >= 0).any()
@@ -149,7 +215,7 @@ class TestOneLayer:
         actions = own_channel_actions(rng, 3, K, channel, W, T)
         assert (actions == -2).any()
         pos, tx = rows_of(3, K)
-        got = kernel.first_delivery(actions, W, pos, tx, channel)
+        got = on_every_path(actions, W, pos, tx, channel)
         assert np.array_equal(got, kernel.first_delivery(actions, W, pos, tx))
         for r in range(3):
             assert np.array_equal(got.reshape(3, K, K)[r],
@@ -166,7 +232,7 @@ class TestOneLayer:
         actions[0, :, 5] = np.where(channel == 1, 1, -1)
         actions[1, :, 5] = channel
         pos, tx = rows_of(2, K)
-        got = kernel.first_delivery(actions, 2, pos, tx, channel)
+        got = on_every_path(actions, 2, pos, tx, channel)
         assert np.array_equal(got, kernel.first_delivery(actions, 2, pos, tx))
         for r in range(2):
             assert np.array_equal(got.reshape(2, K, K)[r],
@@ -179,7 +245,7 @@ class TestOneLayer:
         actions = -np.ones((1, K, T), dtype=np.int16)
         actions[0, :-1, 5] = 1
         actions[0, 0, 9] = 1
-        first = kernel.first_delivery(actions, 1, *rows_of(1, K), channel)
+        first = on_every_path(actions, 1, *rows_of(1, K), channel)
         assert np.array_equal(first, brute_force_first_success(actions[0]))
         assert (first[0, 1:] == 9).all() and (first[1:] == -1).all()
 
@@ -189,12 +255,12 @@ class TestOneLayer:
         K, W, T = 6, 3, 130
         channel = np.array([1, 2, 3, 1, 2, 3])
         actions = own_channel_actions(rng, 4, K, channel, W, T)
-        full = kernel.first_delivery(actions, W, *rows_of(4, K), channel).reshape(4, K, K)
+        full = on_every_path(actions, W, *rows_of(4, K), channel).reshape(4, K, K)
         pos = np.array([3, 0, 3, 2, 2])
         tx = np.array([5, 0, 1, 4, 4])
-        got = kernel.first_delivery(actions, W, pos, tx, channel)
+        got = on_every_path(actions, W, pos, tx, channel)
         assert np.array_equal(got, full[pos, tx])
-        assert kernel.first_delivery(actions, W, pos[:0], tx[:0], channel).shape == (0, K)
+        assert on_every_path(actions, W, pos[:0], tx[:0], channel).shape == (0, K)
 
     @pytest.mark.parametrize("channel", [None, np.array([1, 2])], ids=["loop", "one-layer"])
     def test_refuses_more_than_a_chunk(self, channel):
@@ -280,6 +346,66 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert first.shape == (runs, K, K)
         assert peak <= max(kernel.BATCH_BYTES, kernel.run_bytes(K, W)), (peak, runs)
+
+
+    @pytest.mark.parametrize("K, W", [(K, W) for K in (2, 4, 9, 18, 40, 150)
+                                      for W in sorted({1, min(3, K), K})])
+    def test_loop_batch(self, K, W):
+        # general-scheme draws, whose nodes change channel slot by slot, go
+        # through the per-channel loop; a batch of 8 runs or more fills at
+        # least 84% of the budget, so the estimate does not over-cover
+        scheme = GeneralRandomScheme(GeneralRandomParams(W, K, 0.5 / (K * W)))
+        runs = kernel.batch_runs(K)
+        actions = scheme.action_source(3, range(runs), "uniform")
+        tracemalloc.start()
+        try:
+            first = kernel.run_batch(actions(np.arange(runs)), runs, K, W, kernel.CHUNK_SLOTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (runs, K, K)
+        assert peak <= max(kernel.BATCH_BYTES, kernel.run_bytes(K)), (peak, runs)
+        if runs >= 8:
+            assert peak >= 0.84 * kernel.BATCH_BYTES, (peak, runs)
+
+    @pytest.mark.parametrize("K, W", [(2, 1), (4, 2), (9, 3), (18, 3), (30, 3), (150, 5)])
+    @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
+    def test_event_path_worst_case(self, K, W, one_layer):
+        # as many events as the rule lets through, on a batch of the path's
+        # own size: node 0 of run r transmits alone in slots [0, E - r T),
+        # so every event is clean and heard by every other node.  The
+        # event path holds less than the dense path on the same chunk.
+        path = W if one_layer else None
+        R, T = kernel.batch_runs(K, path), kernel.CHUNK_SLOTS
+        events = R * K * T // (4 * (K + 8))
+        channel = np.arange(K) % W + 1
+        actions = np.full((R, K, T), -channel[0], dtype=kernel.action_dtype(W))
+        run, slot = np.divmod(np.arange(events + 1), T)
+        actions[run, 0, slot] = channel[0]
+        pos = np.arange(run[-1] + 1)
+        tx = np.zeros(pos.size, dtype=np.intp)
+        args = (actions, W, pos, tx, channel if one_layer else None)
+
+        def traced():
+            tracemalloc.start()
+            try:
+                first = kernel.first_delivery(*args)
+                return first, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        with path_log() as log:
+            traced()
+        assert log == [False]  # one event past the rule
+        actions[run[-1], 0, slot[-1]] = -channel[0]
+        with path_log() as log:
+            first, peak = traced()
+        assert log == [True]
+        with rule_forced(False):
+            dense, dense_peak = traced()
+        assert np.array_equal(first, dense)
+        assert (first[0, 1:] == 0).all()
+        assert peak < dense_peak, (peak, dense_peak)
+        assert actions.nbytes + peak <= R * kernel.run_bytes(K, path), (peak, R)
 
 
 class TestActionDtype:
@@ -445,6 +571,46 @@ class TestChunkLoop:
                 for x in range(K):
                     want = [codes[x, (t + taus[r, x]) % L] for t in range(t0, t0 + T)]
                     assert got[n, x].tolist() == want
+
+
+@pytest.fixture(scope="module")
+def k150() -> ScheduleSequenceSet:
+    return build_schedule_set(150, 5)
+
+
+class TestEventPath:
+    """A K=150, M=5 run lasts about 30 chunks, and the late ones, with a
+    few rows left, are judged at their transmit slots alone.  Forcing the
+    rule either way changes no result."""
+
+    def test_one_run_simulate(self, k150):
+        config = SimConfig(SequenceScheme(k150), runs=1, seed=0, record_pairs=True)
+        with path_log() as log:
+            chosen = simulate(config)
+        assert not log[0] and any(log[1:]), log  # dense first chunk, some event chunks
+        for sparse in (True, False):
+            with rule_forced(sparse):
+                forced = simulate(config)
+            assert forced == chosen, sparse
+            assert np.array_equal(forced.per_pair_first_success,
+                                  chosen.per_pair_first_success), sparse
+
+    @pytest.mark.parametrize("deaf", [False, True], ids=["unknown", "refuted"])
+    def test_one_sample_randomized_verify(self, k150, deaf):
+        # node 2 deaf to channel 2 in all but 5 of its slots refutes the set;
+        # every row that has yet to reach it then stays pending, too many
+        # for the event path
+        sset = partly_deaf(k150, 2, 2, 5, np.random.default_rng(150)) if deaf else k150
+        with path_log() as log:
+            chosen = verify_set(sset, mode="randomized", samples=1, seed=0)
+        assert chosen.verdict is (Verdict.FAILED_WITH_WITNESS if deaf else Verdict.UNKNOWN)
+        if deaf:
+            assert not any(log), log
+        else:
+            assert not log[0] and any(log[1:]), log
+        for sparse in (True, False):
+            with rule_forced(sparse):
+                assert verify_set(sset, mode="randomized", samples=1, seed=0) == chosen, sparse
 
 
 def one_at_a_time(monkeypatch, config: SimConfig):

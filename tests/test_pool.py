@@ -66,3 +66,9 @@ def test_a_worker_that_dies_ends_its_pipe():
     assert next(results) == (0, 1)
     with pytest.raises(EOFError):
         next(results)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        next(map_ranges(bounds, 10, threads))

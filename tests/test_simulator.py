@@ -75,6 +75,12 @@ class TestSimulateSequence:
         b = simulate(SimConfig(SequenceScheme(sset), runs=50, seed=3), threads=4)
         assert a == b
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_thread_is_refused(self, threads):
+        config = SimConfig(SequenceScheme(build_schedule_set(4, 2, W=2)), runs=5, seed=3)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            simulate(config, threads=threads)
+
     def test_three_uneven_ranges_keep_run_order(self):
         # 37 runs split 12 + 12 + 13; the per-pair tables too must come
         # back in run order.

@@ -546,6 +546,12 @@ class TestVerifySet:
         w = rep.witness
         assert success_slots(bad, w.transmitter, w.receiver, w.offsets) == []
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "conservative", "randomized"])
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_thread_is_refused(self, three_node_set, mode, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            verify_set(three_node_set, mode=mode, samples=10, threads=threads)
+
     def test_threads_match_serial(self, three_node_set):
         serial = verify_set(three_node_set, mode="exhaustive")
         parallel = verify_set(three_node_set, mode="exhaustive", threads=3)
