@@ -23,7 +23,10 @@ slots alone: each such (row, slot) event reads its run's slot column,
 and is clean when exactly one node acts on the row's channel there.
 `first_delivery` takes that path when the events' arrays stay within one
 bool mask over the chunk's slots (`_sparse`), and the dense path
-otherwise, as in a first chunk, where every row is pending.
+otherwise, as in a first chunk, where every row is pending.  Once a
+chunk has been judged at its events, `run_batch` asks for a span of
+whole chunks whose actions fill the byte budget and judges it in one
+event pass, as long as the same rule holds for the span.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ BATCH_BYTES = 2 ** 20
 # per run per chunk, so this value fixes their RNG streams.
 CHUNK_SLOTS = 512
 
-Source = Callable[[np.ndarray, int, int], np.ndarray]  # a batch's slot actions, see run_batch
+# source(rows, t0, T): a batch's slot actions for all T slots from t0 or,
+# past a chunk, for any whole number of chunks, at least one; see run_batch
+Source = Callable[[np.ndarray, int, int], np.ndarray]
 Actions = Callable[[np.ndarray], Source]  # the source of a batch's run ids
 
 
@@ -107,9 +112,17 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
     When the rows transmit in few slots, as in a late chunk, the chunk is
     judged at those slots alone instead (`_sparse`, `_event_slots`).
     """
-    R, K, T = actions.shape
+    T = actions.shape[2]
     if T > CHUNK_SLOTS:
         raise ValueError(f"a chunk holds at most {CHUNK_SLOTS} slots, got {T}")
+    return _chunk(actions, W, pos, tx, channel)[0]
+
+
+def _chunk(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+           channel: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """first_delivery's table over one chunk, and whether the chunk was
+    judged at its rows' transmit slots alone."""
+    R, K, T = actions.shape
     pad = -T % 64
     if pad:
         actions = np.concatenate(
@@ -117,21 +130,40 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
     row_actions = actions[pos, tx]
     send_words = _pack(row_actions > 0)  # the rows' transmit slots
     if _sparse(send_words, R, K, T):
-        return _event_slots(actions, pos, row_actions)
+        return _event_slots(actions, pos, row_actions), True
     if channel is None:
-        return _first_slot(_channel_layers(actions, W, pos, row_actions))
+        return _first_slot(_channel_layers(actions, W, pos, row_actions)), False
     del row_actions  # freed before the one-layer path's masks are built
-    return _first_slot(_one_layer(actions, W, pos, tx, channel, send_words))
+    return _first_slot(_one_layer(actions, W, pos, tx, channel, send_words)), False
+
+
+def _span(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+          channel: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """_chunk over a span of whole chunks: judged at its rows' transmit
+    slots in one pass when `_sparse` allows it for the whole span, and
+    chunk by chunk otherwise, as when the rows transmit more often in the
+    span than in the chunk before it."""
+    R, K, T = actions.shape
+    row_actions = actions[pos, tx]
+    if _sparse(np.packbits(row_actions > 0, axis=-1), R, K, T):
+        return _event_slots(actions, pos, row_actions), True
+    del row_actions
+    first = np.full((pos.size, K), -1, dtype=np.int64)
+    for t0 in range(0, T, CHUNK_SLOTS):
+        got = _chunk(actions[:, :, t0:t0 + CHUNK_SLOTS], W, pos, tx, channel)[0]
+        np.copyto(first, got + t0, where=(first < 0) & (got >= 0))
+    return first, False
 
 
 def _sparse(send_words: np.ndarray, R: int, K: int, T: int) -> bool:
-    """Whether a chunk of R runs, K nodes and T slots is judged at its
-    requested rows' transmit slots alone: whether those rows' packed
-    transmit slots, send_words, hold few enough events E.  The event path
-    holds about 3 bytes per event and node (its one-byte columns and masks
-    and int16 slots) and 32 per event (int64 indices).  At 4 and 32 that
-    stays within one bool mask over the chunk's slots, which each dense
-    path builds besides its other arrays."""
+    """Whether a chunk or span of R runs, K nodes and T slots is judged at
+    its requested rows' transmit slots alone: whether those rows' packed
+    transmit slots, send_words (words or bytes), hold few enough events E.
+    The event path holds about 3 bytes per event and node (its one-byte
+    columns and masks and two-byte slots, four past 65535 slots) and 32
+    per event (int64 indices).  At 4 and 32 that stays within one bool
+    mask over the slots, which each dense path builds besides its other
+    arrays."""
     limit = R * K * T // (4 * (K + 8))  # E <= limit exactly when 4 E (K + 8) <= R K T
     # a word with a transmit slot holds at least one event, so counting
     # words settles most dense chunks before their bits are counted
@@ -147,12 +179,14 @@ def _event_slots(actions: np.ndarray, pos: np.ndarray,
     event (row p, slot t) where row p transmits reads slot t of run pos[p]
     once, as a (K,) column.  It is clean when exactly one node of that
     column acts on the row's own channel, the row's own action, and it
-    then reaches every node listening to that channel.  The events are
-    listed row by row in slot order, so each pair's first slot is the
-    least over its row's clean events that reach it."""
-    K = actions.shape[1]
+    then reaches every node listening to that channel.  Any number of
+    slots T is judged.  The events are listed row by row in slot order, so
+    each pair's first slot is the least over its row's clean events that
+    reach it: T less the greatest T - t over those events at slots t, in
+    the narrowest unsigned type that holds T, where 0 marks no delivery."""
+    K, T = actions.shape[1], row_actions.shape[1]
     first = np.full((pos.size, K), -1, dtype=np.int64)
-    p, t = np.divmod(np.flatnonzero(row_actions > 0), row_actions.shape[1])
+    p, t = np.divmod(np.flatnonzero(row_actions > 0), T)
     columns = actions[pos[p], :, t]  # (events, K)
     own = row_actions[p, t][:, None]
     clean = np.add.reduce(columns == own, axis=1, dtype=np.min_scalar_type(K)) == 1
@@ -161,10 +195,11 @@ def _event_slots(actions: np.ndarray, pos: np.ndarray,
     p, t = p[clean], t[clean]
     hears = columns[clean] == -own[clean]
     del columns
-    slots = np.where(hears, t.astype(np.int16)[:, None], np.int16(CHUNK_SLOTS))
+    lead = hears * (T - t).astype(np.min_scalar_type(T))[:, None]
+    del hears
     starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
-    least = np.minimum.reduceat(slots, starts, axis=0)
-    first[p[starts]] = np.where(least < CHUNK_SLOTS, least, -1)
+    best = np.maximum.reduceat(lead, starts, axis=0)
+    first[p[starts]] = np.where(best > 0, T - best.astype(np.int64), -1)
     return first
 
 
@@ -247,22 +282,35 @@ def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
               channel: np.ndarray | None = None) -> np.ndarray:
     """First delivery slots of a batch of n runs, over slots [0, max_slots).
 
-    source(rows, t0, T) returns the (len(rows), K, T) slot actions of the
-    batch's rows `rows`, in 0..n-1, for slots [t0, t0 + T).  Chunks of
-    CHUNK_SLOTS slots are evaluated in order.  Transmitter i of a run
-    stays pending while some receiver j != i of that run has no delivery;
-    each chunk evaluates only the pending transmitters and asks `source`
-    only for rows that have one.  channel is first_delivery's.
+    source(rows, t0, T) returns the (len(rows), K, T') slot actions of the
+    batch's rows `rows`, in 0..n-1, for slots [t0, t0 + T'): all T slots,
+    or, when T is longer than a chunk, any whole number of chunks of
+    CHUNK_SLOTS slots, at least one.  The slots are evaluated in order,
+    a chunk at a time; after a chunk judged at its rows' transmit slots,
+    the batch asks for a span of as many whole chunks as its pending
+    runs' actions fit in BATCH_BYTES, and reads how many slots it got.
+    Transmitter i of a run stays pending while some receiver j != i of
+    that run has no delivery; each chunk or span evaluates only the
+    pending transmitters and asks `source` only for rows that have one.
+    channel is first_delivery's.
     """
     first = np.full((n, K, K), -1, dtype=np.int64)
     pending = np.full((n, K), K > 1)  # one node has no pair to serve
-    for t0 in range(0, max_slots, CHUNK_SLOTS):
+    chunk_bytes = K * CHUNK_SLOTS * action_dtype(W).itemsize  # a run's chunk
+    t0, sparse = 0, False
+    while t0 < max_slots:
         runs = np.flatnonzero(pending.any(axis=1))
         if not runs.size:
             break
-        T = min(CHUNK_SLOTS, max_slots - t0)
+        span = CHUNK_SLOTS
+        if sparse:
+            span *= max(1, BATCH_BYTES // (runs.size * chunk_bytes))
         pos, tx = np.nonzero(pending[runs])
-        got = first_delivery(source(runs, t0, T), W, pos, tx, channel)
+        actions = source(runs, t0, min(span, max_slots - t0))
+        T = actions.shape[2]
+        judge = _span if T > CHUNK_SLOTS else _chunk
+        got, sparse = judge(actions, W, pos, tx, channel)
+        del actions  # freed before the next read
         r = runs[pos]
         if t0:  # before the first chunk nothing is served, so got stands
             part = first[r, tx]
@@ -270,6 +318,7 @@ def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
         first[r, tx] = got
         # a node never hears itself, so its own column stays -1
         pending[r, tx] = np.count_nonzero(got < 0, axis=1) > 1
+        t0 += T
     return first
 
 
@@ -293,8 +342,9 @@ def cyclic_reads(codes: Sequence[np.ndarray], W: int) -> Callable[[np.ndarray], 
     channels; reads(taus) is the source of a batch whose row n reads node
     x's schedule at offset taus[n, x], so that it acts in slot t as
     codes[x][(t + taus[n, x]) % L].  The wrapped windows are built once,
-    in action_dtype(W), and shared by every batch.  Chunks may be at most
-    CHUNK_SLOTS slots long.
+    in action_dtype(W), and shared by every batch.  A source returns every
+    slot it is asked for; a span longer than a chunk is read a chunk at a
+    time into one table, so the windows stay CHUNK_SLOTS wide.
     """
     K, L = len(codes), len(codes[0])
     wrapped = np.empty((K, L + CHUNK_SLOTS - 1), dtype=action_dtype(W))
@@ -309,6 +359,13 @@ def cyclic_reads(codes: Sequence[np.ndarray], W: int) -> Callable[[np.ndarray], 
 
     def reads(taus: np.ndarray) -> Source:
         def source(rows: np.ndarray, t0: int, T: int) -> np.ndarray:
-            return windows[:, :, :T][nodes, (t0 + taus[rows]) % L]
+            at = t0 + taus[rows]
+            if T <= CHUNK_SLOTS:
+                return windows[:, :, :T][nodes, at % L]
+            out = np.empty((rows.size, K, T), dtype=wrapped.dtype)
+            for c in range(0, T, CHUNK_SLOTS):
+                n = min(CHUNK_SLOTS, T - c)
+                out[:, :, c:c + n] = windows[:, :, :n][nodes, (at + c) % L]
+            return out
         return source
     return reads

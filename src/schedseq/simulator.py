@@ -274,7 +274,9 @@ class _DrawnScheme:
 
     def action_source(self, seed, runs, offset_mode):
         """Each active run draws a fresh (K, T) block of uniforms from its
-        own stream, turned into slot actions as codes() does.  A batch's
+        own stream, turned into slot actions as codes() does, one chunk at
+        a time: asked for a longer span, a source returns its first chunk,
+        so no run draws past the slot at which it leaves.  A batch's
         streams live as long as its source."""
         streams = RunStreams(seed, runs)
         code_dtype, index_dtype = (a.dtype for a in self._lookup)
@@ -283,6 +285,7 @@ class _DrawnScheme:
             rngs = [streams[r] for r in ids.tolist()]
 
             def source(rows: np.ndarray, t0: int, T: int) -> np.ndarray:
+                T = min(T, kernel.CHUNK_SLOTS)
                 u = np.empty((self.K, T))
                 index = np.empty(u.shape, dtype=index_dtype)
                 hit = np.empty(u.shape, dtype=bool)

@@ -150,6 +150,24 @@ class TestFirstDelivery:
             assert np.array_equal(kernel.first_delivery(actions, W, pos[4:], tx[4:]), got[4:])
         assert log == [True]  # no event at all
 
+    @pytest.mark.parametrize("T", [kernel.CHUNK_SLOTS + 1, 13 * kernel.CHUNK_SLOTS, 2 ** 16 + 7])
+    def test_event_slots_over_a_span(self, T):
+        # the event function judges any number of slots: sends in about 1%
+        # of slots, and node 0 hears only in one late slot, the longest
+        # span's past the reach of 16-bit slots
+        rng = np.random.default_rng(T)
+        R, K, W = 2, 3, 2
+        actions = np.where(rng.random((R, K, T)) < 0.01, rng.integers(1, W + 1, size=(R, K, T)),
+                           -rng.integers(1, W + 1, size=(R, K, T)))
+        actions[:, 0] = 0
+        actions[0, :, T - 1] = [-1, 1, -2]
+        actions[1, :, T - 2] = [-2, -1, 2]
+        pos, tx = np.divmod(np.arange(R * K), K)
+        got = kernel._event_slots(actions, pos, actions[pos, tx]).reshape(R, K, K)
+        for r in range(R):
+            assert np.array_equal(got[r], brute_force_first_success(actions[r])), r
+        assert got[0, 1, 0] == T - 1 and got[1, 2, 0] == T - 2
+
     def test_single_transmitter_reaches_its_channel_only(self):
         # node 0 sends on channel 2 in slot 66; node 1 listens to 2, node 2 to 1
         actions = -np.ones((1, 3, 70), dtype=np.int16)
@@ -480,6 +498,53 @@ def pending_at(want: np.ndarray, t0: int) -> np.ndarray:
     return owed.any(axis=2)
 
 
+def logged_requests(monkeypatch, K: int, W: int):
+    """run_batch over a staggered table of 5 runs and 3 * 512 + 76 slots,
+    checked against the slot replay; returns its action requests, as
+    (t0, T, runs), and the rows evaluated for each.  Each request must
+    start where the one before it ended, at a chunk boundary, and ask for
+    exactly the runs pending at its first slot; each evaluation must take
+    exactly the pending rows, and they never grow.  Run 0 (node 0 never
+    transmits) is censored, so the requests read every slot."""
+    rng = np.random.default_rng(10 * K + W)
+    R, slots = 5, 3 * kernel.CHUNK_SLOTS + 76
+    table = staggered_table(rng, R, K, W, slots)
+    want = np.array([brute_force_first_success(t) for t in table])
+    requests, evaluated = [], []
+
+    def source(rows, t0, T):
+        requests.append((t0, T, rows.tolist()))
+        return table[rows, :, t0:t0 + T]
+
+    def logged(judge):
+        def judged(actions, W, pos, tx, channel):
+            if len(evaluated) < len(requests):  # not a chunk within a span
+                asked = np.array(requests[-1][2])
+                evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
+            return judge(actions, W, pos, tx, channel)
+        return judged
+    monkeypatch.setattr(kernel, "_chunk", logged(kernel._chunk))
+    monkeypatch.setattr(kernel, "_span", logged(kernel._span))
+    first = kernel.run_batch(source, R, K, W, slots)
+    monkeypatch.undo()
+    assert np.array_equal(first, want)
+    assert len(evaluated) == len(requests)
+    if K == 1:
+        assert requests == []  # no pair, so nothing to ask for
+        return requests, evaluated
+    starts = [t0 for t0, _, _ in requests]
+    assert starts == [0, *(t0 + T for t0, T, _ in requests[:-1])]
+    assert all(t0 % kernel.CHUNK_SLOTS == 0 for t0 in starts)
+    assert requests[-1][0] + requests[-1][1] == slots
+    for (t0, _, asked), rows in zip(requests, evaluated):
+        pending = pending_at(want, t0)
+        assert asked == np.flatnonzero(pending.any(axis=1)).tolist(), t0
+        assert rows == set(zip(*np.nonzero(pending))), t0
+    assert all(b <= a for a, b in zip(evaluated, evaluated[1:]))
+    assert (first[0, 0, 1:] == -1).all()
+    return requests, evaluated
+
+
 class TestChunkLoop:
     def test_run_batch_matches_slot_replay(self):
         # 1300 slots in chunks of 512: pairs served in an early chunk keep
@@ -519,42 +584,83 @@ class TestChunkLoop:
 
     @pytest.mark.parametrize("K, W", [(1, 1), (2, 1), (2, 2), (5, 2), (7, 3)])
     def test_pending_rows_over_chunks(self, monkeypatch, K, W):
-        # four chunks (512, 512, 512, 76 slots); the logged action requests
-        # and evaluated rows must be exactly the pending runs and rows
-        rng = np.random.default_rng(10 * K + W)
-        R, slots = 5, 3 * kernel.CHUNK_SLOTS + 76
-        table = staggered_table(rng, R, K, W, slots)
-        want = np.array([brute_force_first_success(t) for t in table])
-        requests, evaluated = [], []
+        # as the rule chooses, a late chunk may be followed by a span; with
+        # every chunk judged dense, each request is one chunk: 512, 512, 512
+        # and 76 slots
+        logged_requests(monkeypatch, K, W)
+        with rule_forced(False):
+            requests, evaluated = logged_requests(monkeypatch, K, W)
+        if K > 1:
+            assert [T for _, T, _ in requests] == [512, 512, 512, 76]
+            assert len({len(rows) for rows in evaluated}) > 2
+
+    @pytest.mark.parametrize("K, W", [(1, 1), (2, 1), (2, 2), (5, 2), (7, 3)])
+    def test_pending_rows_over_spans(self, monkeypatch, K, W):
+        # every chunk judged at its events and a budget of two chunks of
+        # every run: after the first chunk the batch asks for spans of
+        # 512 * (10 // runs) slots, which grow as runs leave
+        R = 5
+        monkeypatch.setattr(kernel, "BATCH_BYTES", 2 * R * K * kernel.CHUNK_SLOTS)
+        with rule_forced(True):
+            requests, _ = logged_requests(monkeypatch, K, W)
+        if K > 1:
+            assert requests[0][1] == kernel.CHUNK_SLOTS
+            for t0, T, asked in requests[1:]:
+                whole = kernel.CHUNK_SLOTS * max(1, 2 * R // len(asked))
+                assert T == min(whole, 3 * kernel.CHUNK_SLOTS + 76 - t0), (t0, T, asked)
+            assert max(T for _, T, _ in requests) > kernel.CHUNK_SLOTS
+
+    @pytest.mark.parametrize("K, W", [(1, 1), (2, 1), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("slots", [1100, 2701])  # off the 64- and 512-slot grids
+    @pytest.mark.parametrize("budget", [None, 3], ids=["default-budget", "three-chunk-budget"])
+    def test_spans_match_slot_replay(self, monkeypatch, K, W, slots, budget):
+        # nodes send in about 1% of slots, so the first chunk is already
+        # judged at its events and the rest is read in spans: as one, or
+        # three chunks of every run at a time.  Run 0 is censored.
+        rng = np.random.default_rng(K * slots)
+        R = 4
+        shape = (R, K, slots)
+        table = np.where(rng.random(shape) < 0.01, rng.integers(1, W + 1, size=shape),
+                         -rng.integers(1, W + 1, size=shape))
+        table[0, 0] = -1  # node 0 of run 0 never transmits
+        table[1, :, slots - 3] = -1
+        table[1, min(1, K - 1), :slots - 3] = -1  # node 1 of run 1 sends in slot slots - 3 alone
+        table[1, min(1, K - 1), slots - 3] = 1
+        if budget:
+            monkeypatch.setattr(kernel, "BATCH_BYTES", budget * R * K * kernel.CHUNK_SLOTS)
+        sizes = []
 
         def source(rows, t0, T):
-            requests.append((t0, rows.tolist()))
+            sizes.append(T)
             return table[rows, :, t0:t0 + T]
-
-        def logged(actions, W, pos, tx, channel=None):
-            asked = np.array(requests[-1][1])
-            evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
-            return first_delivery(actions, W, pos, tx, channel)
-
-        first_delivery = kernel.first_delivery
-        monkeypatch.setattr(kernel, "first_delivery", logged)
         first = kernel.run_batch(source, R, K, W, slots)
-        assert np.array_equal(first, want)
-
-        starts = [t0 for t0, _ in requests]
-        assert starts == list(range(0, slots, kernel.CHUNK_SLOTS))[:len(starts)]
-        for (t0, asked), rows in zip(requests, evaluated):
-            pending = pending_at(want, t0)
-            assert asked == np.flatnonzero(pending.any(axis=1)).tolist(), t0
-            assert rows == set(zip(*np.nonzero(pending))), t0
-        assert all(b <= a for a, b in zip(evaluated, evaluated[1:]))
-        if K == 1:
-            assert requests == []  # no pair, so nothing to ask for
-        else:
-            # run 0 (node 0 never transmits) is censored, so every chunk runs
-            assert len(requests) == 4
+        for r in range(R):
+            assert np.array_equal(first[r], brute_force_first_success(table[r])), r
+        if K > 1:
             assert (first[0, 0, 1:] == -1).all()
-            assert len({len(rows) for rows in evaluated}) > 2
+            assert sum(sizes) == slots and max(sizes) > kernel.CHUNK_SLOTS, sizes
+            assert (first[1, 1, [0, *range(2, K)]] == slots - 3).all()
+
+    def test_a_span_whose_rows_turn_dense_goes_chunk_by_chunk(self):
+        # nobody sends in the first chunk, so it is judged at its (no)
+        # events and a span follows; in the span every node sends half the
+        # time, too many events for one pass, so its chunks are judged one
+        # by one and the event arrays never grow past the rule's bound
+        rng = np.random.default_rng(21)
+        R, K, W, slots = 2, 4, 2, 2000
+        table = random_actions(rng, R, K, W, slots)
+        table[:, :, :kernel.CHUNK_SLOTS] = -1
+        sizes = []
+
+        def source(rows, t0, T):
+            sizes.append(T)
+            return table[rows, :, t0:t0 + T]
+        with path_log() as log:
+            first = kernel.run_batch(source, R, K, W, slots)
+        for r in range(R):
+            assert np.array_equal(first[r], brute_force_first_success(table[r])), r
+        assert sizes[:2] == [kernel.CHUNK_SLOTS, slots - kernel.CHUNK_SLOTS]
+        assert log[:3] == [True, False, False]  # chunk, span, the span's first chunk
 
     @pytest.mark.parametrize("L", [1, 7, kernel.CHUNK_SLOTS - 1, kernel.CHUNK_SLOTS, 600])
     def test_cyclic_reads(self, L):
@@ -564,9 +670,11 @@ class TestChunkLoop:
         taus = rng.integers(0, L, size=(4, K))
         source = kernel.cyclic_reads(list(codes), 2)(taus)
         rows = np.array([3, 1])
-        for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS)):
+        for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS),
+                      (0, 3 * kernel.CHUNK_SLOTS), (L - 1, 2 * kernel.CHUNK_SLOTS + 37),
+                      (1536, kernel.CHUNK_SLOTS + 1)):
             got = source(rows, t0, T)
-            assert got.dtype == np.int8
+            assert got.dtype == np.int8 and got.shape == (rows.size, K, T)
             for n, r in enumerate(rows):
                 for x in range(K):
                     want = [codes[x, (t + taus[r, x]) % L] for t in range(t0, t0 + T)]
@@ -611,6 +719,44 @@ class TestEventPath:
         for sparse in (True, False):
             with rule_forced(sparse):
                 assert verify_set(sset, mode="randomized", samples=1, seed=0) == chosen, sparse
+
+    def test_the_tail_is_read_in_spans(self, monkeypatch, k150):
+        # after the first chunk judged at its events, the rest of the period
+        # is read in spans of 13 chunks (one run's K x 13 x 512 one-byte
+        # actions fit BATCH_BYTES), and from that chunk on the traced peak
+        # stays within the budget tests' bound
+        K, W, L = k150.K, k150.W, k150.L
+        taus = np.random.default_rng(0).integers(0, L, size=(1, K))
+        source = kernel.cyclic_reads([s.codes for s in k150.sequences], W)(taus)
+        sizes, tail = [], []
+        rule = kernel._sparse
+
+        def read(rows, t0, T):
+            sizes.append(T)
+            return source(rows, t0, T)
+
+        def sparse(*args):
+            if rule(*args) and not tail:  # the first chunk judged at its events
+                tracemalloc.reset_peak()
+                tail.append(len(sizes))
+            return rule(*args)
+        monkeypatch.setattr(kernel, "_sparse", sparse)
+        tracemalloc.start()
+        try:
+            first = kernel.run_batch(read, 1, K, W, L, np.array(k150.division.assignment))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        with rule_forced(False):  # chunk by chunk, each judged dense
+            assert np.array_equal(first, kernel.run_batch(
+                source, 1, K, W, L, np.array(k150.division.assignment)))
+        assert (first >= 0).sum() == K * (K - 1)
+        span = 13 * kernel.CHUNK_SLOTS
+        assert kernel.BATCH_BYTES // (K * kernel.CHUNK_SLOTS) == 13
+        assert sizes[:tail[0]] == [kernel.CHUNK_SLOTS] * tail[0]
+        assert span in sizes[tail[0]:] and len(sizes) <= tail[0] + 3, sizes
+        assert peak <= max(kernel.BATCH_BYTES, kernel.run_bytes(K, W)), peak
 
 
 def one_at_a_time(monkeypatch, config: SimConfig):

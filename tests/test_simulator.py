@@ -570,6 +570,49 @@ class TestRandomStreamsPinned:
         assert tuple(res.completion_times.tolist()) == want
 
 
+class TestDrawnSpans:
+    """A drawn source asked for a span of several chunks draws one chunk,
+    so the kernel's spans leave every run's stream as it was."""
+
+    @pytest.mark.parametrize("kind", ["assign_t", "general"])
+    def test_a_span_request_draws_one_chunk(self, kind):
+        scheme = drawn_scheme(kind, 3, 18, 0.02)
+        rows = np.array([0, 2])
+        spans = scheme.action_source(7, range(3), "uniform")(np.arange(3))
+        chunks = scheme.action_source(7, range(3), "uniform")(np.arange(3))
+        for t0 in (0, CHUNK_SLOTS, 2 * CHUNK_SLOTS):
+            got = spans(rows, t0, 13 * CHUNK_SLOTS)
+            assert got.shape == (rows.size, 18, CHUNK_SLOTS)
+            assert np.array_equal(got, chunks(rows, t0, CHUNK_SLOTS)), t0
+        assert np.array_equal(spans(rows, 3 * CHUNK_SLOTS, 100), chunks(rows, 3 * CHUNK_SLOTS, 100))
+
+    @pytest.mark.parametrize("kind, p", [("assign_t", 0.01), ("general", 0.003)])
+    def test_sparse_draws_match_slot_replay(self, monkeypatch, kind, p):
+        # rare sends, so chunks are judged at their events and the kernel
+        # asks for spans; each run's chunks, redrawn from its own stream one
+        # at a time, give the same first slots
+        from schedseq import kernel
+        scheme = drawn_scheme(kind, 2, 6, p)
+        runs, seed, max_slots = 6, 11, 4000
+        rule, judged = kernel._sparse, []
+
+        def logged(*args):
+            judged.append(rule(*args))
+            return judged[-1]
+        monkeypatch.setattr(kernel, "_sparse", logged)
+        res = simulate(SimConfig(scheme, runs=runs, seed=seed, max_slots=max_slots,
+                                 record_pairs=True))
+        assert any(judged[:-1])  # some chunk was followed by a span request
+        off_diag = ~np.eye(6, dtype=bool)
+        for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+            rng = np.random.default_rng(child)
+            chunks = [scheme.codes(rng.random((6, min(CHUNK_SLOTS, max_slots - t0))))
+                      for t0 in range(0, max_slots, CHUNK_SLOTS)]
+            first = np.array(brute_force_first_success(np.concatenate(chunks, axis=1)))
+            assert np.array_equal(res.per_pair_first_success[r], first), r
+            assert res.censored[r] == (first[off_diag] < 0).any()
+
+
 class TestTransmitChannels:
     """A scheme's transmit_channels, which the kernel trusts, against the
     actions the scheme itself produces."""
