@@ -20,13 +20,16 @@ The simulator and the randomized verifier both go through here.
 
 A late chunk, with only a few rows left, is judged at its rows' transmit
 slots alone: each such (row, slot) event reads its run's slot column,
-and is clean when exactly one node acts on the row's channel there.
-`first_delivery` takes that path when the events' arrays stay within one
-bool mask over the chunk's slots (`_sparse`), and the dense path
-otherwise, as in a first chunk, where every row is pending.  Once a
-chunk has been judged at its events, `run_batch` asks for a span of
-whole chunks whose actions fill the byte budget and judges it in one
-event pass, as long as the same rule holds for the span.
+and is clean when exactly one node acts on the row's channel there.  One
+judge serves every read, of a chunk or of a span of chunks: it takes
+that path when the events' arrays stay within one bool mask over the
+read's slots (`_sparse`), and the dense path otherwise, a chunk at a
+time, as in a first chunk, where every row is pending.  Once a chunk has
+been judged at its events, `run_batch` asks for a span of whole chunks
+whose actions fill the byte budget.  On one-sample K=150 randomized
+verifies and one-run K=150 simulates (seeds 0-9), each of the 45 spans
+was judged in one event pass; K=18 and desk-size periods end within two
+chunks and read no span.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
                    tx: np.ndarray, channel: np.ndarray | None = None) -> np.ndarray:
     """First delivery slot from each given transmitter row to every node.
 
-    actions is an (R, K, T) integer table with T <= CHUNK_SLOTS: m > 0
+    actions is an (R, K, T) integer table of any number of slots T: m > 0
     transmits on channel m, -m listens to channel m, and 0 does neither.
     Row p is transmitter tx[p] of run pos[p].  Returns the (rows, K) table
     of the first slot in [0, T) at which that transmitter delivers to each
@@ -107,68 +110,54 @@ def first_delivery(actions: np.ndarray, W: int, pos: np.ndarray,
 
     channel, when given, is the (K,) transmit channel of each node, in
     1..W: node x transmits on channel[x] or not at all, and listens to any
-    channel.  Then only channel m's own nodes can collide on m, and the
-    whole chunk is one layer; otherwise each channel is a layer of its own.
-    When the rows transmit in few slots, as in a late chunk, the chunk is
+    channel.  Then only channel m's own nodes can collide on m, and a
+    chunk is one layer; otherwise each channel is a layer of its own.
+    When the rows transmit in few slots, as in a late chunk, the table is
     judged at those slots alone instead (`_sparse`, `_event_slots`).
     """
-    T = actions.shape[2]
-    if T > CHUNK_SLOTS:
-        raise ValueError(f"a chunk holds at most {CHUNK_SLOTS} slots, got {T}")
-    return _chunk(actions, W, pos, tx, channel)[0]
+    return _judge(actions, W, pos, tx, channel)[0]
 
 
-def _chunk(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
+def _judge(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
            channel: np.ndarray | None) -> tuple[np.ndarray, bool]:
-    """first_delivery's table over one chunk, and whether the chunk was
-    judged at its rows' transmit slots alone."""
+    """first_delivery's table, and whether it was judged at the rows'
+    transmit slots alone.  Any number of slots goes to the event path when
+    `_sparse` allows it; otherwise a chunk, padded to whole words, goes to
+    a dense path, and a longer read is judged a chunk at a time, in order."""
     R, K, T = actions.shape
-    pad = -T % 64
-    if pad:
+    if T < CHUNK_SLOTS and T % 64:  # a dense chunk is judged in whole words
         actions = np.concatenate(
-            [actions, np.zeros((R, K, pad), dtype=actions.dtype)], axis=2)
+            [actions, np.zeros((R, K, -T % 64), dtype=actions.dtype)], axis=2)
     row_actions = actions[pos, tx]
-    send_words = _pack(row_actions > 0)  # the rows' transmit slots
-    if _sparse(send_words, R, K, T):
+    sends = np.packbits(row_actions > 0, axis=-1, bitorder="little")  # the rows' transmit slots
+    if _sparse(sends, R, K, T):
         return _event_slots(actions, pos, row_actions), True
+    if T > CHUNK_SLOTS:
+        del row_actions, sends
+        first = np.full((pos.size, K), -1, dtype=np.int64)
+        for t0 in range(0, T, CHUNK_SLOTS):
+            got = _judge(actions[:, :, t0:t0 + CHUNK_SLOTS], W, pos, tx, channel)[0]
+            np.copyto(first, got + t0, where=(first < 0) & (got >= 0))
+        return first, False
     if channel is None:
         return _first_slot(_channel_layers(actions, W, pos, row_actions)), False
     del row_actions  # freed before the one-layer path's masks are built
-    return _first_slot(_one_layer(actions, W, pos, tx, channel, send_words)), False
+    return _first_slot(_one_layer(actions, W, pos, tx, channel, sends.view("<u8"))), False
 
 
-def _span(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
-          channel: np.ndarray | None) -> tuple[np.ndarray, bool]:
-    """_chunk over a span of whole chunks: judged at its rows' transmit
-    slots in one pass when `_sparse` allows it for the whole span, and
-    chunk by chunk otherwise, as when the rows transmit more often in the
-    span than in the chunk before it."""
-    R, K, T = actions.shape
-    row_actions = actions[pos, tx]
-    if _sparse(np.packbits(row_actions > 0, axis=-1), R, K, T):
-        return _event_slots(actions, pos, row_actions), True
-    del row_actions
-    first = np.full((pos.size, K), -1, dtype=np.int64)
-    for t0 in range(0, T, CHUNK_SLOTS):
-        got = _chunk(actions[:, :, t0:t0 + CHUNK_SLOTS], W, pos, tx, channel)[0]
-        np.copyto(first, got + t0, where=(first < 0) & (got >= 0))
-    return first, False
-
-
-def _sparse(send_words: np.ndarray, R: int, K: int, T: int) -> bool:
-    """Whether a chunk or span of R runs, K nodes and T slots is judged at
-    its requested rows' transmit slots alone: whether those rows' packed
-    transmit slots, send_words (words or bytes), hold few enough events E.
-    The event path holds about 3 bytes per event and node (its one-byte
-    columns and masks and two-byte slots, four past 65535 slots) and 32
-    per event (int64 indices).  At 4 and 32 that stays within one bool
-    mask over the slots, which each dense path builds besides its other
-    arrays."""
+def _sparse(sends: np.ndarray, R: int, K: int, T: int) -> bool:
+    """Whether R runs of K nodes over T slots are judged at the requested
+    rows' transmit slots alone: whether those rows' transmit slots, packed
+    in bytes (sends), hold few enough events E.  The event path holds
+    about 3 bytes per event and node (its one-byte columns and masks and
+    two-byte slots, four past 65535 slots) and 32 per event (int64
+    indices).  At 4 and 32 that stays within one bool mask over the slots,
+    which each dense path builds besides its other arrays."""
     limit = R * K * T // (4 * (K + 8))  # E <= limit exactly when 4 E (K + 8) <= R K T
-    # a word with a transmit slot holds at least one event, so counting
-    # words settles most dense chunks before their bits are counted
-    return (np.count_nonzero(send_words) <= limit
-            and int(np.bitwise_count(send_words).sum()) <= limit)
+    # a byte with a transmit slot holds at least one event, so counting
+    # bytes settles most dense chunks before their bits are counted
+    return (np.count_nonzero(sends) <= limit
+            and int(np.bitwise_count(sends).sum()) <= limit)
 
 
 def _event_slots(actions: np.ndarray, pos: np.ndarray,
@@ -226,34 +215,26 @@ def _channel_layers(actions: np.ndarray, W: int, pos: np.ndarray,
 def _one_layer(actions: np.ndarray, W: int, pos: np.ndarray, tx: np.ndarray,
                channel: np.ndarray, send_words: np.ndarray) -> np.ndarray:
     """Hit words of first_delivery's rows when node x transmits on channel[x]
-    alone: each row meets the receive words of its transmitter's channel.
-    send_words are the rows' packed transmit slots."""
+    alone: each row's clean transmit slots, each channel's transmitters
+    counted over its own nodes alone, meet the receive words of its
+    transmitter's channel.  send_words are the rows' packed transmit slots."""
     R, K, T = actions.shape
+    count_dtype = np.min_scalar_type(K)
     row_channel = channel[tx] - 1
-    txw = _clean_sends(actions, W, pos, channel, row_channel, send_words)
+    on = actions > 0
+    clean = np.empty((R, W, T), dtype=bool)
+    for m in range(1, W + 1):
+        counts = np.add.reduce(on[:, channel == m], axis=1, dtype=count_dtype)
+        np.equal(counts, 1, out=clean[:, m - 1])
+    txw = _pack(clean)[pos, row_channel]
+    txw &= send_words
+    del on, clean, counts  # freed before the receive words are built
     rxw = np.empty((R, W, K, T // 64), dtype=np.uint64)
     for m in range(1, W + 1):
         rxw[:, m - 1] = _pack(actions == -m)
     hits = rxw[pos, row_channel]
     hits &= txw[:, None, :]
     return hits
-
-
-def _clean_sends(actions: np.ndarray, W: int, pos: np.ndarray, channel: np.ndarray,
-                 row_channel: np.ndarray, send_words: np.ndarray) -> np.ndarray:
-    """Packed clean transmit slots of first_delivery's rows, each channel's
-    transmitters counted over its own nodes alone.  Its own function, so
-    that its slot masks are freed before the receive words are built."""
-    R, K, T = actions.shape
-    count_dtype = np.min_scalar_type(K)
-    on = actions > 0
-    clean = np.empty((R, W, T), dtype=bool)
-    for m in range(1, W + 1):
-        counts = np.add.reduce(on[:, channel == m], axis=1, dtype=count_dtype)
-        np.equal(counts, 1, out=clean[:, m - 1])
-    words = _pack(clean)[pos, row_channel]
-    words &= send_words
-    return words
 
 
 def _ctz(x: np.ndarray) -> np.ndarray:
@@ -289,8 +270,9 @@ def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
     a chunk at a time; after a chunk judged at its rows' transmit slots,
     the batch asks for a span of as many whole chunks as its pending
     runs' actions fit in BATCH_BYTES, and reads how many slots it got.
-    Transmitter i of a run stays pending while some receiver j != i of
-    that run has no delivery; each chunk or span evaluates only the
+    Each read, chunk or span, goes to the one judge that first_delivery
+    uses.  Transmitter i of a run stays pending while some receiver
+    j != i of that run has no delivery; each read evaluates only the
     pending transmitters and asks `source` only for rows that have one.
     channel is first_delivery's.
     """
@@ -308,8 +290,7 @@ def run_batch(source: Source, n: int, K: int, W: int, max_slots: int,
         pos, tx = np.nonzero(pending[runs])
         actions = source(runs, t0, min(span, max_slots - t0))
         T = actions.shape[2]
-        judge = _span if T > CHUNK_SLOTS else _chunk
-        got, sparse = judge(actions, W, pos, tx, channel)
+        got, sparse = _judge(actions, W, pos, tx, channel)
         del actions  # freed before the next read
         r = runs[pos]
         if t0:  # before the first chunk nothing is served, so got stands

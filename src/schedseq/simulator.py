@@ -63,14 +63,6 @@ def _pcg64_from_words() -> Callable[[np.ndarray], np.random.PCG64]:
     return lambda words: PCG64(SeedWords(words))
 
 
-@cache
-def _generator_from_words() -> Callable[[np.ndarray], np.random.Generator]:
-    """Generator(PCG64) on four uint64 seed words."""
-    from numpy.random import Generator
-    pcg64 = _pcg64_from_words()
-    return lambda words: Generator(pcg64(words))
-
-
 class RunStreams:
     """The random streams of a range of runs; streams[n] makes that of
     runs[n].  Run k's stream is default_rng(SeedSequence(seed,
@@ -104,10 +96,9 @@ class RunStreams:
             out = out.reshape(-1, 8).astype("<u4", copy=False)
             self.words[lo:lo + len(part)] = out.view("<u8")
         self._pcg64 = _pcg64_from_words()
-        self._generator = _generator_from_words()
 
     def __getitem__(self, n: int) -> np.random.Generator:
-        return self._generator(self.words[n])
+        return np.random.Generator(self._pcg64(self.words[n]))
 
     def offsets(self, ids: np.ndarray, L: int, K: int) -> np.ndarray:
         """The rows streams[n].integers(0, L, size=K) for n in ids, bit for bit.

@@ -280,11 +280,31 @@ class TestOneLayer:
         assert np.array_equal(got, full[pos, tx])
         assert on_every_path(actions, W, pos[:0], tx[:0], channel).shape == (0, K)
 
-    @pytest.mark.parametrize("channel", [None, np.array([1, 2])], ids=["loop", "one-layer"])
-    def test_refuses_more_than_a_chunk(self, channel):
-        actions = -np.ones((1, 2, kernel.CHUNK_SLOTS + 1), dtype=np.int16)
-        with pytest.raises(ValueError, match="at most 512 slots"):
-            kernel.first_delivery(actions, 2, *rows_of(1, 2), channel)
+    @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
+    def test_more_than_a_chunk_equals_slot_replay(self, one_layer):
+        # judged dense, a table longer than a chunk is judged a chunk at a
+        # time.  Each node only listens before a start slot drawn over the
+        # table, so pairs are first served in late chunks, and node 1 of
+        # run 1 reaches everyone in the last slot alone.
+        R, K, W = 3, 5, 2
+        channel = np.array([1, 2, 1, 2, 2])
+        for T in (kernel.CHUNK_SLOTS + 1, 3 * kernel.CHUNK_SLOTS + 76):
+            rng = np.random.default_rng(T)
+            actions = own_channel_actions(rng, R, K, channel, W, T)
+            start = rng.integers(0, T - 20, size=(R, K))
+            for r in range(R):
+                for x in range(K):
+                    actions[r, x, :start[r, x]] = -1
+            actions[1, :, T - 1] = -2
+            actions[1, 1, :T - 1] = -1
+            actions[1, 1, T - 1] = 2
+            with rule_forced(False):
+                got = kernel.first_delivery(actions, W, *rows_of(R, K),
+                                            channel if one_layer else None)
+            got = got.reshape(R, K, K)
+            for r in range(R):
+                assert np.array_equal(got[r], brute_force_first_success(actions[r])), (T, r)
+            assert (got[1, 1, [0, 2, 3, 4]] == T - 1).all(), T
 
     @pytest.mark.parametrize("K", [2, 18, 150])
     @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
@@ -516,15 +536,14 @@ def logged_requests(monkeypatch, K: int, W: int):
         requests.append((t0, T, rows.tolist()))
         return table[rows, :, t0:t0 + T]
 
-    def logged(judge):
-        def judged(actions, W, pos, tx, channel):
-            if len(evaluated) < len(requests):  # not a chunk within a span
-                asked = np.array(requests[-1][2])
-                evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
-            return judge(actions, W, pos, tx, channel)
-        return judged
-    monkeypatch.setattr(kernel, "_chunk", logged(kernel._chunk))
-    monkeypatch.setattr(kernel, "_span", logged(kernel._span))
+    judge = kernel._judge
+
+    def judged(actions, W, pos, tx, channel):
+        if len(evaluated) < len(requests):  # not a chunk within a span
+            asked = np.array(requests[-1][2])
+            evaluated.append(set(zip(asked[pos].tolist(), tx.tolist())))
+        return judge(actions, W, pos, tx, channel)
+    monkeypatch.setattr(kernel, "_judge", judged)
     first = kernel.run_batch(source, R, K, W, slots)
     monkeypatch.undo()
     assert np.array_equal(first, want)
@@ -641,14 +660,18 @@ class TestChunkLoop:
             assert sum(sizes) == slots and max(sizes) > kernel.CHUNK_SLOTS, sizes
             assert (first[1, 1, [0, *range(2, K)]] == slots - 3).all()
 
-    def test_a_span_whose_rows_turn_dense_goes_chunk_by_chunk(self):
+    @pytest.mark.parametrize("one_layer", [False, True], ids=["loop", "one-layer"])
+    def test_a_span_whose_rows_turn_dense_goes_chunk_by_chunk(self, one_layer):
         # nobody sends in the first chunk, so it is judged at its (no)
-        # events and a span follows; in the span every node sends half the
-        # time, too many events for one pass, so its chunks are judged one
-        # by one and the event arrays never grow past the rule's bound
+        # events and a span follows; in the span every node sends on its
+        # own channel in 5-60% of slots, too many events for one pass, so
+        # its chunks, the last one short, are judged one by one on the
+        # path's dense judge and the event arrays never grow past the
+        # rule's bound
         rng = np.random.default_rng(21)
         R, K, W, slots = 2, 4, 2, 2000
-        table = random_actions(rng, R, K, W, slots)
+        channel = np.array([1, 2, 2, 1])
+        table = own_channel_actions(rng, R, K, channel, W, slots)
         table[:, :, :kernel.CHUNK_SLOTS] = -1
         sizes = []
 
@@ -656,7 +679,7 @@ class TestChunkLoop:
             sizes.append(T)
             return table[rows, :, t0:t0 + T]
         with path_log() as log:
-            first = kernel.run_batch(source, R, K, W, slots)
+            first = kernel.run_batch(source, R, K, W, slots, channel if one_layer else None)
         for r in range(R):
             assert np.array_equal(first[r], brute_force_first_success(table[r])), r
         assert sizes[:2] == [kernel.CHUNK_SLOTS, slots - kernel.CHUNK_SLOTS]

@@ -183,19 +183,15 @@ class TestSimulateSequence:
 
     def test_only_drawn_offsets_build_generators(self, monkeypatch):
         # zero and fixed offsets never draw, so they build no random stream;
-        # uniform offsets build one bare PCG64 a run, and a Generator for a
-        # row that RunStreams.offsets redraws
+        # uniform offsets build one bare PCG64 a run, and one more, under a
+        # Generator, for a row that RunStreams.offsets redraws
         made = []
+        make = simulator._pcg64_from_words()
 
-        def counted(factory):
-            make = factory()
-
-            def count(words):
-                made.append(words)
-                return make(words)
-            return lambda: count
-        for name in ("_pcg64_from_words", "_generator_from_words"):
-            monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
+        def count(words):
+            made.append(words)
+            return make(words)
+        monkeypatch.setattr(simulator, "_pcg64_from_words", lambda: count)
         sset = build_schedule_set(4, 2, W=2)
         for mode in ("zero", OffsetVector((0, 5, 9, 30), sset.L)):
             simulate(SimConfig(SequenceScheme(sset), runs=20, seed=4, offset_mode=mode))
