@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import kernel
 from .seqcore import (
     BinarySequence,
     GroupDivision,
@@ -296,6 +298,14 @@ class ScheduleSequenceSet:
 
     def codes_matrix(self) -> np.ndarray:
         return np.stack([s.codes for s in self.sequences])
+
+    @cached_property
+    def action_table(self) -> np.ndarray:
+        """The set's wrapped slot-action table (kernel.cyclic_table),
+        built on first use and kept: every randomized verification and
+        sequence simulation of the set reads through it.  The codes it is
+        built from are read-only, so it cannot go stale."""
+        return kernel.cyclic_table([s.codes for s in self.sequences], self.W)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ScheduleSequenceSet)

@@ -16,7 +16,11 @@ pending: one leaves once all of its receivers are served, and a run once
 all of its transmitters have.  `run_batches` walks a range of runs in
 batches that fit the byte budget on their path, each with its own action
 source.  Slot actions are one byte up to 127 channels (`action_dtype`).
-The simulator and the randomized verifier both go through here.
+A schedule set's actions are one wrapped (K, L + CHUNK_SLOTS - 1) table
+(`cyclic_table`), which the set builds once, on first use, and keeps
+(`ScheduleSequenceSet.action_table`); `cyclic_reads` reads it at each
+run's offsets.  The simulator and the randomized verifier both go
+through here.
 
 A late chunk, with only a few rows left, is judged at its rows' transmit
 slots alone: each such (row, slot) event reads its run's slot column,
@@ -316,16 +320,15 @@ def run_batches(actions: Actions, runs: int, K: int, W: int, max_slots: int,
         yield ids, run_batch(actions(ids), ids.size, K, W, max_slots, channel)
 
 
-def cyclic_reads(codes: Sequence[np.ndarray], W: int) -> Callable[[np.ndarray], Source]:
-    """Sources for periodic schedules read at per-run offsets.
+def cyclic_table(codes: Sequence[np.ndarray], W: int) -> np.ndarray:
+    """The wrapped action table of periodic schedules, read by cyclic_reads.
 
     codes holds the K schedule rows of a common period L, each acting on W
-    channels; reads(taus) is the source of a batch whose row n reads node
-    x's schedule at offset taus[n, x], so that it acts in slot t as
-    codes[x][(t + taus[n, x]) % L].  The wrapped windows are built once,
-    in action_dtype(W), and shared by every batch.  A source returns every
-    slot it is asked for; a span longer than a chunk is read a chunk at a
-    time into one table, so the windows stay CHUNK_SLOTS wide.
+    channels.  Row x of the (K, L + CHUNK_SLOTS - 1) table, in
+    action_dtype(W), is codes[x] followed by its first CHUNK_SLOTS - 1
+    slots again, so that every window of a chunk, at any offset, is one
+    slice.  The table is read-only; a ScheduleSequenceSet builds it once
+    and keeps it (ScheduleSequenceSet.action_table).
     """
     K, L = len(codes), len(codes[0])
     wrapped = np.empty((K, L + CHUNK_SLOTS - 1), dtype=action_dtype(W))
@@ -335,6 +338,22 @@ def cyclic_reads(codes: Sequence[np.ndarray], W: int) -> Callable[[np.ndarray], 
         n = min(done, wrapped.shape[1] - done)
         wrapped[:, done:done + n] = wrapped[:, :n]
         done += n
+    wrapped.setflags(write=False)
+    return wrapped
+
+
+def cyclic_reads(wrapped: np.ndarray) -> Callable[[np.ndarray], Source]:
+    """Sources for periodic schedules read at per-run offsets.
+
+    wrapped is cyclic_table's table of K schedule rows of period L;
+    reads(taus) is the source of a batch whose row n reads node x's
+    schedule at offset taus[n, x], so that it acts in slot t as the
+    schedule's slot (t + taus[n, x]) % L.  Every batch reads the one
+    table, which is never copied.  A source returns every slot it is asked
+    for; a span longer than a chunk is read a chunk at a time into one
+    array, so the windows stay CHUNK_SLOTS wide.
+    """
+    K, L = wrapped.shape[0], wrapped.shape[1] - CHUNK_SLOTS + 1
     windows = sliding_window_view(wrapped, CHUNK_SLOTS, axis=1)
     nodes = np.arange(K)
 

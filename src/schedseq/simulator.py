@@ -184,7 +184,7 @@ class SequenceScheme:
 
     def action_source(self, seed, runs, offset_mode):
         K, L = self.K, self.sset.L
-        reads = kernel.cyclic_reads([s.codes for s in self.sset.sequences], self.W)
+        reads = kernel.cyclic_reads(self.sset.action_table)
         if offset_mode == "uniform":
             # a run's offsets are all it draws, made when its batch starts
             streams = RunStreams(seed, runs)

@@ -348,7 +348,7 @@ def _randomized_draws(sset: ScheduleSequenceSet, samples: int, seed: int,
     that does not fail is UNKNOWN.
     """
     rng = np.random.default_rng(seed)
-    reads = kernel.cyclic_reads([s.codes for s in sset.sequences], sset.W)
+    reads = kernel.cyclic_reads(sset.action_table)
     channel = np.array(sset.division.assignment)
     K, L = sset.K, sset.L
     off_diag = ~np.eye(K, dtype=bool)  # a node need not reach itself

@@ -1,12 +1,14 @@
 """The bit-packed collision kernel against slot-by-slot oracles."""
 
 import contextlib
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from schedseq import kernel
+from schedseq.cli import load_set, save_set
 from schedseq.constructor import ScheduleSequenceSet, build_schedule_set
 from schedseq.random_schemes import AssignTRandomParams, GeneralRandomParams
 from schedseq.seqcore import OffsetVector, ScheduleSequence
@@ -691,7 +693,7 @@ class TestChunkLoop:
         K = 3
         codes = rng.integers(1, 3, size=(K, L)) * rng.choice([-1, 1], size=(K, L))
         taus = rng.integers(0, L, size=(4, K))
-        source = kernel.cyclic_reads(list(codes), 2)(taus)
+        source = kernel.cyclic_reads(kernel.cyclic_table(list(codes), 2))(taus)
         rows = np.array([3, 1])
         for t0, T in ((0, kernel.CHUNK_SLOTS), (1024, 100), (L - 1, kernel.CHUNK_SLOTS),
                       (0, 3 * kernel.CHUNK_SLOTS), (L - 1, 2 * kernel.CHUNK_SLOTS + 37),
@@ -750,7 +752,7 @@ class TestEventPath:
         # stays within the budget tests' bound
         K, W, L = k150.K, k150.W, k150.L
         taus = np.random.default_rng(0).integers(0, L, size=(1, K))
-        source = kernel.cyclic_reads([s.codes for s in k150.sequences], W)(taus)
+        source = kernel.cyclic_reads(k150.action_table)(taus)
         sizes, tail = [], []
         rule = kernel._sparse
 
@@ -976,3 +978,89 @@ class TestRandomizedVerify:
             tracemalloc.stop()
         assert report.pairs_checked == 3 * K * (K - 1)
         assert peak < budget + slack, (peak, budget, slack)
+
+
+def refuted_k18() -> ScheduleSequenceSet:
+    """A fresh K=18, M=3, W=3 set with node 2 deaf to channel 2 in all but
+    100 of its slots: randomized verify refutes it at seed 1 (sample 409)
+    and answers UNKNOWN at seed 3.  No table is built yet."""
+    return partly_deaf(build_schedule_set(18, 3, W=3), 2, 2, 100, np.random.default_rng(18))
+
+
+def sequence_campaigns(sset: ScheduleSequenceSet, threads: int = 1) -> list:
+    """Every kind of campaign that reads a set's action table: randomized
+    verifies at a refuting and an UNKNOWN seed over two offset draws, and
+    simulations at uniform, zero and fixed offsets with their pair tables."""
+    out: list = [verify_set(sset, mode="randomized", samples=600, seed=seed, threads=threads)
+                 for seed in (1, 3)]
+    for mode in ("uniform", "zero", OffsetVector(tuple(range(sset.K)), sset.L)):
+        config = SimConfig(SequenceScheme(sset), runs=30, seed=5, max_slots=2 * sset.L,
+                           offset_mode=mode, record_pairs=True)
+        result = simulate(config, threads=threads)
+        out += [result, result.per_pair_first_success.tolist()]
+    return out
+
+
+class TestActionTable:
+    """A set builds its wrapped action table on first use and keeps it;
+    every randomized verification and sequence simulation of the set reads
+    that one table."""
+
+    def test_one_build_per_set(self, monkeypatch, tmp_path):
+        builds = []
+        build = kernel.cyclic_table
+
+        def counted(codes, W):
+            builds.append(W)
+            return build(codes, W)
+        monkeypatch.setattr(kernel, "cyclic_table", counted)
+        sset = refuted_k18()
+        got = sequence_campaigns(sset)
+        assert got[0].verdict is Verdict.FAILED_WITH_WITNESS and got[1].witness is None
+        assert len(builds) == 1
+        assert all(not s.codes.flags.writeable for s in sset.sequences)
+        with pytest.raises(ValueError):
+            sset.action_table[0, 0] = 0
+        # an equal set loaded from the same file builds its own table
+        path = str(tmp_path / "set.json")
+        save_set(sset, path)
+        a, b = load_set(path), load_set(path)
+        assert a == b == sset
+        assert verify_set(a, mode="randomized", samples=600, seed=1) == got[0]
+        assert len(builds) == 2
+        assert b.action_table is not a.action_table
+        assert np.array_equal(b.action_table, sset.action_table)
+        assert len(builds) == 3
+
+    def test_the_table_is_all_a_set_gains(self):
+        for W in (1, 2, 3):
+            sset = build_schedule_set(18, 3, W=W)
+            K, L = sset.K, sset.L
+            before = dict(vars(sset))
+            tracemalloc.start()
+            try:
+                table = sset.action_table
+                grown = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert vars(sset).keys() - before.keys() == {"action_table"}
+            assert all(vars(sset)[k] is v for k, v in before.items())
+            itemsize = kernel.action_dtype(W).itemsize
+            assert table.shape == (K, L + kernel.CHUNK_SLOTS - 1)
+            assert table.nbytes == K * (L + kernel.CHUNK_SLOTS - 1) * itemsize
+            assert table.nbytes <= grown <= table.nbytes + 1024, (W, grown)
+            wrapped = np.arange(L + kernel.CHUNK_SLOTS - 1) % L
+            assert np.array_equal(table, sset.codes_matrix()[:, wrapped])
+
+    def test_pickles_after_its_table_is_built(self):
+        sset = refuted_k18()
+        got = sequence_campaigns(sset)
+        copy = pickle.loads(pickle.dumps(sset))
+        assert copy == sset
+        assert np.array_equal(vars(copy)["action_table"], sset.action_table)
+        assert sequence_campaigns(copy) == got
+
+    def test_workers_read_the_parents_table(self):
+        sset = refuted_k18()
+        sset.action_table  # built in the parent before any worker starts
+        assert sequence_campaigns(sset, threads=2) == sequence_campaigns(sset)
