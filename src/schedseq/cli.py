@@ -21,10 +21,12 @@ from typing import Any
 
 import numpy as np
 
+from . import kernel
 from .constructor import (
     ConstructionParams,
     ScheduleSequenceSet,
     build_schedule_set,
+    check_rows,
     m_prime,
     select_params,
 )
@@ -37,7 +39,7 @@ from .random_schemes import (
     optimal_single_channel,
     optimize_random,
 )
-from .seqcore import GroupDivision, ScheduleSequence
+from .seqcore import GroupDivision
 from .simulator import (
     AssignTRandomScheme,
     GeneralRandomScheme,
@@ -61,16 +63,68 @@ class SequenceSetFormatError(ValueError):
     """Raised when a sequence-set document violates the file schema."""
 
 
+def _block_rows(L: int) -> int:
+    """Rows per codec block: numpy's intp copy of a block's (rows, L) index
+    array stays within kernel.BATCH_BYTES."""
+    return max(1, kernel.BATCH_BYTES // (8 * L))
+
+
+def _token_pairs(W: int) -> np.ndarray:
+    """'<u2' table, W <= 9: entry c mod 2W+1 holds the two bytes (kind,
+    digit) of code c's token, so that int16 codes index it with wrap."""
+    pairs = np.zeros(2 * W + 1, dtype="<u2")
+    for c in range(1, W + 1):
+        pairs[c] = _T | (_ZERO + c) << 8
+        pairs[-c] = _R | (_ZERO + c) << 8
+    return pairs
+
+
 def _token_table(W: int) -> np.ndarray:
-    """(2W+1, width) byte table: row code+W holds the token of code and a
-    trailing space, NUL-padded to a common width (code 0 has no token)."""
+    """(2W+1, width) byte table: row c mod 2W+1 holds the token of code c
+    and a trailing space, NUL-padded to a common width (code 0 has none)."""
     width = len(str(W)) + 2
     table = np.zeros((2 * W + 1, width), dtype=np.uint8)
     for c in range(-W, W + 1):
         if c:
             token = (f"R{-c} " if c < 0 else f"T{c} ").encode("ascii")
-            table[c + W, :len(token)] = np.frombuffer(token, dtype=np.uint8)
+            table[c, :len(token)] = np.frombuffer(token, dtype=np.uint8)
     return table
+
+
+def _encode_rows(codes: np.ndarray, W: int) -> list[str]:
+    """The token string of each row of a (K, L) code matrix, a block of
+    rows at a time.
+
+    With W <= 9 every token is three bytes with its space, so a block is
+    one stride-3 store of the tokens' (kind, digit) pairs into a buffer
+    whose every third byte was made a space once.  Wider sets take the
+    NUL-padded token table and drop the padding.  The table would serve
+    every W, but numpy copies its 3-byte rows one memmove each: at K=150
+    it took 14 ms where the stride store takes 7 ms (BENCH_32.json).
+    """
+    K, L = codes.shape
+    step = _block_rows(L)
+    rows: list[str] = []
+    if W <= 9:
+        pairs = _token_pairs(W)
+        buf = np.empty(3 * L * min(step, K), dtype=np.uint8)
+        buf[2::3] = _SPACE
+        text = memoryview(buf)
+        for lo in range(0, K, step):
+            block = codes[lo:lo + step]
+            slots = np.ndarray(block.shape, "<u2", buf, strides=(3 * L, 3))
+            slots[...] = np.take(pairs, block, mode="wrap")
+            rows += [str(text[3 * L * r:3 * L * (r + 1) - 1], "ascii")
+                     for r in range(len(block))]
+        return rows
+    table = _token_table(W)
+    for lo in range(0, K, step):
+        tokens = np.take(table, codes[lo:lo + step], axis=0, mode="wrap")
+        kept = tokens != 0
+        ends = np.cumsum(kept.sum(axis=(1, 2))).tolist()
+        text = tokens[kept].tobytes()
+        rows += [text[a:b - 1].decode("ascii") for a, b in zip([0, *ends], ends)]
+    return rows
 
 
 def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
@@ -78,19 +132,6 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
     tokens, T<m> for transmit on channel m and R<r> for listen to channel r."""
     params = sset.params
     W = sset.W
-    table = _token_table(W)
-    # One index and one byte buffer serve every row: fresh row-sized arrays
-    # would cost a page fault per 4 KiB each time.
-    index = np.empty(sset.L, dtype=np.intp)
-    buf = np.empty((sset.L, table.shape[1]), dtype=np.uint8)
-    rows = []
-    for seq in sset.sequences:
-        np.add(seq.codes, W, out=index)
-        np.take(table, index, axis=0, out=buf)
-        text = buf.ravel()
-        if W >= 10:  # one-digit tokens fill the table, longer ones leave NULs
-            text = text[text != 0]
-        rows.append(text[:-1].tobytes().decode("ascii"))
     doc: dict[str, Any] = {
         "schema_version": SET_SCHEMA_VERSION,
         "K": sset.K,
@@ -99,7 +140,7 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
         "L": sset.L,
         "params": None,
         "division": list(sset.division.assignment),
-        "sequences": rows,
+        "sequences": _encode_rows(sset.codes, W),
     }
     if params is not None:
         doc["params"] = {
@@ -110,51 +151,63 @@ def set_to_doc(sset: ScheduleSequenceSet) -> dict[str, Any]:
 
 
 @functools.cache
-def _one_digit_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Byte-indexed int16 tables for one-digit rows: the sign of a kind
-    byte (T +1, R -1) and the channel of a digit byte '1'..str(top);
-    every other byte maps to 0."""
-    sign = np.zeros(256, dtype=np.int16)
-    sign[[_T, _R]] = 1, -1
-    channel = np.zeros(256, dtype=np.int16)
-    channel[_ZERO + 1:_ZERO + 1 + top] = np.arange(1, top + 1)
-    sign.setflags(write=False)
-    channel.setflags(write=False)
-    return sign, channel
+def _pair_codes() -> np.ndarray:
+    """65536-entry int16 table indexed by a token's two bytes read as one
+    little-endian '<u2' (kind, digit): T<d> gives d and R<d> gives -d for
+    d in 1..9, every other pair 0."""
+    table = np.zeros(1 << 16, dtype=np.int16)
+    d = np.arange(1, 10)
+    table[_T | (_ZERO + d) << 8] = d
+    table[_R | (_ZERO + d) << 8] = -d
+    table.setflags(write=False)
+    return table
 
 
-def _parse_one_digit(buf: np.ndarray, L: int, W: int) -> np.ndarray | None:
-    """int16 codes of a row of 3L - 1 bytes read as L tokens of one digit,
-    or None when some token is not T<d>/R<d> with d in 1..W followed by a
-    space (the row's last token by its end)."""
-    padded = np.empty(3 * L, dtype=np.uint8)
-    padded[:-1] = buf
-    padded[-1] = _SPACE
-    rows = padded.reshape(L, 3)
-    sign, channel = _one_digit_tables(min(max(W, 0), 9))
-    codes = np.take(sign, rows[:, 0])
-    codes *= np.take(channel, rows[:, 1])
-    if not codes.all() or (rows[:, 2] != _SPACE).any():
-        return None
-    return codes
+def _read_block(rows: list, L: int, W: int, out: np.ndarray) -> list[int]:
+    """Read the rows that are L one-digit tokens (T<d> or R<d>, d in
+    1..min(W, 9), single spaces) into the same rows of out; return the
+    indices of the other rows, for the digit loop.
+
+    The ASCII rows of 3L - 1 characters are joined by spaces into one byte
+    string, whose tokens are read as a stride-3 '<u2' view through one
+    table of the digits 1..9; the rest of the bytes must be spaces, and a
+    row with a channel above W is left to the digit loop.
+    """
+    fast, left = [], []
+    for i, row in enumerate(rows):
+        one_digit = isinstance(row, str) and len(row) == 3 * L - 1 and row.isascii()
+        (fast if one_digit else left).append(i)
+    n = len(fast)
+    if not n:
+        return left
+    text = " ".join(rows if not left else [rows[i] for i in fast]).encode("ascii")
+    pairs = np.ndarray((n, L), "<u2", text, strides=(3 * L, 3))
+    table = _pair_codes()
+    codes = np.take(table, pairs, out=out) if not left else np.take(table, pairs)
+    if (np.count_nonzero(codes) < n * L
+            or (W < 9 and (codes.min() < -W or codes.max() > W))
+            or np.count_nonzero(np.frombuffer(text, np.uint8) == _SPACE) < n * L - 1):
+        spaces = np.ndarray((n, L - 1), np.uint8, text, offset=2, strides=(3 * L, 3))
+        good = (codes.all(axis=1) & (spaces == _SPACE).all(axis=1)
+                & (np.abs(codes) <= W).all(axis=1))
+        left = sorted(left + [i for i, ok in zip(fast, good) if not ok])
+        fast, codes = [i for i, ok in zip(fast, good) if ok], codes[good]
+    if codes is not out:
+        out[fast] = codes
+    return left
 
 
 def _parse_tokens(text: str, L: int, W: int) -> np.ndarray:
     """int16 codes of one row of exactly L space-separated tokens T<m>/R<r>,
     every channel in 1..W; raises ValueError naming the first bad token.
 
-    A row of 3L - 1 bytes is first read as an (L, 3) table of one-digit
-    tokens; any row that is not one (wider channels, leading zeros, bad
-    tokens) goes through the general digit loop below, which alone raises.
+    This general digit loop reads the rows that _read_block leaves (wider
+    channels, leading zeros, bad tokens), and alone raises.
     """
     try:
         buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError as exc:
         raise ValueError(f"non-ASCII character {text[exc.start]!r}") from None
-    if buf.size == 3 * L - 1:
-        codes = _parse_one_digit(buf, L, W)
-        if codes is not None:
-            return codes
     spaces = np.flatnonzero(buf == _SPACE)
     if spaces.size + 1 != L:
         raise ValueError(f"{spaces.size + 1} slots, expected {L}")
@@ -184,6 +237,65 @@ def _parse_tokens(text: str, L: int, W: int) -> np.ndarray:
     return np.where(kinds == _T, channels, -channels).astype(np.int16)
 
 
+def _parse_row(row: Any, version: str, L: int, W: int) -> np.ndarray:
+    """The codes of one row of either schema by the digit loop; raises
+    TypeError or ValueError on the first fault."""
+    row_type = list if version == "1" else str
+    if not isinstance(row, row_type):
+        raise ValueError(f"schema {version} stores a sequence as a "
+                         f"{row_type.__name__}, got {type(row).__name__}")
+    if version == "1":
+        if len(row) != L:
+            raise ValueError(f"{len(row)} slots, expected {L}")
+        # An element holding a space, or an empty one, changes the token
+        # count or leaves an empty token: both are rejected.
+        row = " ".join(row)
+    return _parse_tokens(row, L, W)
+
+
+def _joined(row: Any) -> str | None:
+    """A schema-1 row's tokens as one string, or None when it is not a
+    list of strings."""
+    try:
+        return " ".join(row) if isinstance(row, list) else None
+    except TypeError:
+        return None
+
+
+def _read_rows(raw: list, version: str, L: int, W: int, groups: list[int]) -> np.ndarray:
+    """The (K, L) int16 codes of a document's rows.
+
+    Blocks of rows go through _read_block, and each row it leaves through
+    the digit loop, in file order.  A row the loop rejects raises
+    ValueError "sequence <i>: ..." only after the rows before it pass
+    check_rows, so the first faulty row in file order is the one named.
+    Rows from the first that cannot hold L tokens on are left to that
+    row's error, so a header L far beyond the rows allocates nothing.
+    """
+    def holds(row: Any) -> bool:
+        if version == "1":
+            return isinstance(row, list) and len(row) == L
+        return isinstance(row, str) and len(row) >= 2 * L - 1
+
+    n = next((i for i, row in enumerate(raw) if not holds(row)), len(raw)) if L >= 1 else 0
+    codes = np.empty((n, L if n else 0), dtype=np.int16)
+    step = _block_rows(L) if n else 1
+    left = []
+    for lo in range(0, n, step):
+        block = raw[lo:min(lo + step, n)]
+        if version == "1":
+            block = [_joined(row) for row in block]
+        left += [lo + i for i in _read_block(block, L, W, codes[lo:lo + step])]
+    for i in left + ([n] if n < len(raw) else []):
+        try:
+            row = _parse_row(raw[i], version, L, W)
+        except (TypeError, ValueError) as exc:
+            check_rows(codes[:i], groups[:i])
+            raise ValueError(f"sequence {i + 1}: {exc}") from exc
+        codes[i] = row
+    return codes
+
+
 def _json_int(value: Any, name: str) -> int:
     """value when it is a JSON integer: floats, bools and strings are refused."""
     if type(value) is not int:
@@ -193,14 +305,14 @@ def _json_int(value: Any, name: str) -> int:
 
 def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
     """Read a schema-1 (one token list per sequence) or schema-2 (one token
-    string per sequence) document; both go through one token parser."""
+    string per sequence) document; both go through one token reader, and
+    the set checks the code matrix once (ScheduleSequenceSet.from_codes)."""
     if not isinstance(doc, dict):
         raise SequenceSetFormatError("a set file holds one JSON object")
     version = doc.get("schema_version")
     if version not in ("1", "2"):
         raise SequenceSetFormatError(
             f"unsupported schema_version {version!r}, expected \"1\" or \"2\"")
-    row_type = list if version == "1" else str
     try:
         K, M, W, L = (_json_int(doc[k], k) for k in ("K", "M", "W", "L"))
         division = [_json_int(g, "division entry") for g in doc["division"]]
@@ -212,36 +324,24 @@ def set_from_doc(doc: dict[str, Any]) -> ScheduleSequenceSet:
     if W != max(division, default=None) or not W <= M <= K:
         raise SequenceSetFormatError(
             f"header W={W}, M={M}: need W = the largest division entry <= M <= K={K}")
-    sequences = []
-    for i, (group, row) in enumerate(zip(division, raw_seqs), start=1):
-        if not isinstance(row, row_type):
-            raise SequenceSetFormatError(
-                f"sequence {i}: schema {version} stores a sequence as a "
-                f"{row_type.__name__}, got {type(row).__name__}")
-        try:
-            if version == "1":
-                if len(row) != L:
-                    raise ValueError(f"{len(row)} slots, expected {L}")
-                # An element holding a space, or an empty one, changes the
-                # token count or leaves an empty token: both are rejected.
-                row = " ".join(row)
-            sequences.append(ScheduleSequence(_parse_tokens(row, L, W), owner_group=group))
-        except (TypeError, ValueError) as exc:
-            raise SequenceSetFormatError(f"sequence {i}: {exc}") from exc
-    params = None
-    if doc.get("params") is not None:
-        p = doc["params"]
-        try:
-            params = ConstructionParams(
-                K=K, M=M, W=W, division=GroupDivision(tuple(division)),
-                w=_json_int(p["w"], "w"), p=_json_int(p["p"], "p"), q=_json_int(p["q"], "q"),
-                Lprime=_json_int(p["Lprime"], "Lprime"), L=L,
-                deltas=tuple(_json_int(d, "delta") for d in p["deltas"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SequenceSetFormatError(f"bad construction params: {exc}") from exc
+    # Every entry below 1 is refused alike; clipped, each fits in int64.
+    groups = [max(g, 0) for g in division]
     try:
-        return ScheduleSequenceSet(tuple(sequences), params=params)
+        codes = _read_rows(raw_seqs, version, L, W, groups)
+        params = None
+        if doc.get("params") is not None:
+            p = doc["params"]
+            try:
+                params = ConstructionParams(
+                    K=K, M=M, W=W, division=GroupDivision(tuple(division)),
+                    w=_json_int(p["w"], "w"), p=_json_int(p["p"], "p"),
+                    q=_json_int(p["q"], "q"), Lprime=_json_int(p["Lprime"], "Lprime"), L=L,
+                    deltas=tuple(_json_int(d, "delta") for d in p["deltas"]),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                check_rows(codes, groups)  # a faulty row is reported first
+                raise ValueError(f"bad construction params: {exc}") from exc
+        return ScheduleSequenceSet.from_codes(codes, groups, params=params)
     except ValueError as exc:
         raise SequenceSetFormatError(str(exc)) from exc
 
@@ -265,12 +365,32 @@ def save_set(sset: ScheduleSequenceSet, path: str) -> None:
         fh.write("]}\n")
 
 
-def load_set(path: str) -> ScheduleSequenceSet:
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text, read in pieces of kernel.BATCH_BYTES: no
+    file-sized byte buffer is held beside the text, so the text needs one
+    hole of the file's size in the heap, not two.
+
+    This saves no memory the program holds; it only changes where glibc
+    places the large buffers of a load.  It is kept because, with the file
+    read whole, the K=150 benchmark's peak RSS rose above the row-by-row
+    reader's in most runs (see BENCH_32.json).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SequenceSetFormatError(f"not valid JSON: {exc}") from exc
+            return "".join(iter(lambda: fh.read(kernel.BATCH_BYTES), ""))
+        except UnicodeDecodeError:
+            fh.seek(0)
+            fh.read()  # raises the error at its position in the whole file
+            raise
+
+
+def load_set(path: str) -> ScheduleSequenceSet:
+    # The text is freed before set_from_doc runs, so the code matrix can
+    # take its place in the heap.
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SequenceSetFormatError(f"not valid JSON: {exc}") from exc
     return set_from_doc(doc)
 
 

@@ -24,6 +24,7 @@ from .seqcore import (
     array_to_sequence,
     crt_inverse,
     crt_map,
+    first_fault,
 )
 
 
@@ -255,49 +256,100 @@ def build_array(params: ConstructionParams, i: int) -> np.ndarray:
     return _array_stack(params, [m], [n])[0]
 
 
+def check_rows(codes: np.ndarray, groups) -> None:
+    """Check an (n, L) code matrix against the rule of every schedule, a
+    block of rows of about kernel.BATCH_BYTES at a time.
+
+    Raises ValueError "sequence <i>: <reason>" for the first row that
+    breaks the rule (seqcore.first_fault, which a lone ScheduleSequence
+    also runs on its one row).
+    """
+    step = max(1, kernel.BATCH_BYTES // max(1, codes.shape[1] * codes.itemsize))
+    for lo in range(0, len(codes), step):
+        fault = first_fault(codes[lo:lo + step], groups[lo:lo + step])
+        if fault is not None:
+            raise ValueError(f"sequence {lo + fault[0] + 1}: {fault[1]}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleSequenceSet:
-    """K schedule sequences of a common period, one per node."""
+    """K schedule sequences of a common period, one per node.
+
+    The set keeps its codes as one read-only (K, L) int16 matrix, which it
+    checks once: no code 0 and no transmit outside the node's group, a
+    block of rows at a time (check_rows), and no receive channel above W.
+    Its sequences are read-only row views of that matrix, not checked
+    again.  A set is made from its sequences, whose codes are copied into
+    the matrix, or from a matrix that it takes over (from_codes).
+    """
 
     sequences: tuple[ScheduleSequence, ...]
     params: ConstructionParams | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        if not self.sequences:
-            raise ValueError("empty sequence set")
-        L = self.sequences[0].length
-        if any(s.length != L for s in self.sequences):
+        seqs = tuple(self.sequences)
+        if seqs and any(s.length != seqs[0].length for s in seqs):
             raise ValueError("sequences must share one period")
-        groups = [s.owner_group for s in self.sequences]
+        codes = np.stack([s.codes for s in seqs]) if seqs else np.empty((0, 0), np.int16)
+        self._adopt(codes, [s.owner_group for s in seqs])
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, groups,
+                   params: ConstructionParams | None = None) -> "ScheduleSequenceSet":
+        """The set whose node i (1-based) has row i - 1 of the (K, L) int16
+        matrix codes and owner group groups[i - 1].  The set takes codes
+        over and makes it read-only; a faulty row raises ValueError
+        "sequence <i>: <reason>"."""
+        sset = cls.__new__(cls)
+        object.__setattr__(sset, "params", params)
+        sset._adopt(np.ascontiguousarray(codes, dtype=np.int16), groups)
+        return sset
+
+    def _adopt(self, codes: np.ndarray, groups) -> None:
+        groups = tuple(map(int, groups))
+        if not groups:
+            raise ValueError("empty sequence set")
+        if codes.ndim != 2 or len(codes) != len(groups) or not codes.shape[1]:
+            raise ValueError(f"codes of shape {codes.shape} do not give {len(groups)} "
+                             "non-empty rows")
+        check_rows(codes, groups)
         W = max(groups)
         if set(groups) != set(range(1, W + 1)):
             raise ValueError("owner groups 1..W must all be non-empty")
-        for s in self.sequences:
-            lowest = int(s.codes.min())
-            if lowest < -W:
-                raise ValueError(f"receive channel {-lowest} exceeds W={W}")
-        if self.params is not None and tuple(self.params.division.assignment) != tuple(groups):
+        if codes.min() < -W:
+            lowest = codes.min(axis=1)
+            raise ValueError(f"receive channel {-int(lowest[lowest < -W][0])} exceeds W={W}")
+        if self.params is not None and tuple(self.params.division.assignment) != groups:
             raise ValueError("params.division disagrees with sequence owner groups")
+        codes.setflags(write=False)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "sequences", tuple(map(ScheduleSequence._row, codes, groups)))
 
     @property
     def K(self) -> int:
-        return len(self.sequences)
+        return len(self._groups)
 
     @property
     def L(self) -> int:
-        return self.sequences[0].length
+        return self._codes.shape[1]
 
     @property
     def W(self) -> int:
-        return max(s.owner_group for s in self.sequences)
+        return max(self._groups)
 
     @property
     def division(self) -> GroupDivision:
-        return GroupDivision(tuple(s.owner_group for s in self.sequences))
+        return GroupDivision(self._groups)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The read-only (K, L) int16 code matrix; row x - 1 is node x's."""
+        return self._codes
 
     def codes_matrix(self) -> np.ndarray:
-        return np.stack([s.codes for s in self.sequences])
+        """A fresh, writable copy of the code matrix."""
+        return self._codes.copy()
 
     @cached_property
     def action_table(self) -> np.ndarray:
@@ -305,11 +357,18 @@ class ScheduleSequenceSet:
         built on first use and kept: every randomized verification and
         sequence simulation of the set reads through it.  The codes it is
         built from are read-only, so it cannot go stale."""
-        return kernel.cyclic_table([s.codes for s in self.sequences], self.W)
+        return kernel.cyclic_table(self._codes, self.W)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ScheduleSequenceSet)
-                and self.sequences == other.sequences)
+        return (isinstance(other, ScheduleSequenceSet) and self._groups == other._groups
+                and np.array_equal(self._codes, other._codes))
+
+    def __reduce__(self):
+        # Rebuilt through from_codes, so that the rows stay views of one
+        # matrix; an action table already built goes along.
+        table = vars(self).get("action_table")
+        return (type(self).from_codes, (self._codes, self._groups, self.params),
+                None if table is None else {"action_table": table})
 
 
 def build_schedule_set(K: int, M: int, W: int | None = None,
@@ -345,8 +404,7 @@ def build_schedule_set(K: int, M: int, W: int | None = None,
         # assignment.
         gens = [next(rank_pool[m]) for m in groups]
         codes = array_to_sequence(_array_stack(params, groups, gens))
-    seqs = tuple(ScheduleSequence(row, owner_group=m) for row, m in zip(codes, groups))
-    return ScheduleSequenceSet(seqs, params=params)
+    return ScheduleSequenceSet.from_codes(codes, groups, params=params)
 
 
 def length_upper_bound(K: int, M: int) -> int:

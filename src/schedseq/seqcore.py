@@ -76,9 +76,40 @@ def _as_code_array(codes: Iterable[int]) -> np.ndarray:
                      dtype=np.int16)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sequence must be a non-empty 1-D list of symbols")
-    if (arr == 0).any():
-        raise ValueError("symbol code 0 is invalid")
     return arr
+
+
+def _row_fault(row: np.ndarray, group: int) -> str | None:
+    if not row.all():
+        return "symbol code 0 is invalid"
+    if group < 1:
+        return "owner_group must be >= 1"
+    foreign = row[(row > 0) & (row != group)]
+    if foreign.size:
+        return f"transmit on channel {int(foreign[0])} but node owns group {group}"
+    return None
+
+
+def first_fault(codes: np.ndarray, groups) -> tuple[int, str] | None:
+    """The first row of an (n, L) block of int16 schedule codes that breaks
+    the rule every schedule keeps, with the reason, or None.
+
+    Row r, owned by group groups[r], breaks it with a code 0, an owner
+    group below 1, or a transmit on a channel other than its group's
+    (Assignment T), checked in that order.  One pass finds the candidate
+    rows: c XOR g is positive exactly when a code c >= 0 differs from a
+    group g >= 1, while receive codes keep the sign bit.  A group outside
+    1..32767 owns no int16 code, so its row is always a candidate.
+    """
+    groups = [int(g) for g in groups]
+    narrow = np.array([g if 0 < g < 1 << 15 else 0 for g in groups], dtype=np.int16)
+    worst = (codes ^ narrow[:, None]).max(axis=1).tolist()
+    for r, (w, g) in enumerate(zip(worst, groups)):
+        if w > 0 or not 0 < g < 1 << 15:
+            reason = _row_fault(codes[r], g)
+            if reason is not None:
+                return r, reason
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +125,18 @@ class ScheduleSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codes", _as_code_array(self.codes))
-        if self.owner_group < 1:
-            raise ValueError("owner_group must be >= 1")
-        foreign = (self.codes > 0) & (self.codes != self.owner_group)
-        if foreign.any():
-            bad = int(self.codes[foreign.argmax()])
-            raise ValueError(
-                f"transmit on channel {bad} but node owns group {self.owner_group}")
+        fault = first_fault(self.codes[None], [self.owner_group])
+        if fault is not None:
+            raise ValueError(fault[1])
         self.codes.setflags(write=False)
+
+    @classmethod
+    def _row(cls, codes: np.ndarray, owner_group: int) -> "ScheduleSequence":
+        """A sequence on a read-only row that its set has already checked."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "codes", codes)
+        object.__setattr__(seq, "owner_group", owner_group)
+        return seq
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[Symbol], owner_group: int) -> "ScheduleSequence":

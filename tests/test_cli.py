@@ -13,7 +13,7 @@ import pytest
 
 from schedseq.cli import (
     SequenceSetFormatError,
-    _parse_one_digit,
+    _read_block,
     load_set,
     main,
     save_set,
@@ -334,14 +334,21 @@ class TestSerialization(_CodecCases):
         # the other rows fall through to the digit loop, which the codec
         # tests above check for codes and messages
         def read(text, L, W):
-            return _parse_one_digit(np.frombuffer(text.encode("ascii"), dtype=np.uint8), L, W)
+            out = np.zeros((1, L), dtype=np.int16)
+            return None if _read_block([text], L, W, out) else out[0]
 
         assert read("T1", 1, 1).tolist() == [1]
         assert read("T9 R1 R9", 3, 9).tolist() == [9, -1, -9]
         assert read("T2 R1 R9", 3, 12).tolist() == [2, -1, -9]
-        for text in ("R0 T1 R2", "T1 R2 r1", "T1 R2 R4", "T1 R1\tR2", "T1 R1  R", "T10 R1 R",
-                     "T1 R2 R\x00"):
+        bad = ("R0 T1 R2", "T1 R2 r1", "T1 R2 R4", "T1 R1\tR2", "T1 R1  R", "T10 R1 R",
+               "T1 R2 R\x00")
+        for text in bad:
             assert read(text, 3, 3) is None, text
+        # in one block, each row is taken or left on its own
+        rows = ["T1 R2 R3", *bad, "R3 R2 T1", "T1 R2", "R1 R2 T1 R1", "T1 R\u0661 R2"]
+        out = np.zeros((len(rows), 3), dtype=np.int16)
+        assert _read_block(rows, 3, 3, out) == [1, 2, 3, 4, 5, 6, 7, 9, 10, 11]
+        assert out[[0, 8]].tolist() == [[1, -2, -3], [-3, -2, 1]]
 
     def test_doc_symbols_are_strings(self, three_node_set):
         doc = set_to_doc(build_schedule_set(3, 1))
