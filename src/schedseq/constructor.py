@@ -147,29 +147,21 @@ class ConstructionParams:
         return CrtUiParams(K_gen=n_gen, w=self.w, p=self.p, q=self.q)
 
 
-def select_params(K: int, M: int, W: int,
-                  division: GroupDivision | None = None) -> ConstructionParams:
-    """Choose (w, p, q, deltas) for K nodes on W of M channels.
+def construction_period(K: int, W: int, ell: int) -> tuple[int, int, int, int]:
+    """(w, p, q, L) of the construction for K nodes in W groups, the
+    largest of ell nodes: the one home of the p/q search and the period.
 
     Multi-channel path: w = ell + 1, p the smallest prime >= max(w, 2W-2)
     coprime with 2W, q the smallest integer >= 2w-1 coprime with both p
-    and 2W.  Single-channel path: plain CRT-UI with w = K.
+    and 2W, and L = 2W*p*q.  Single-channel path (ell = K): plain CRT-UI
+    with w = K and L = p*q.  Only integers are computed: select_params
+    builds and validates the params object.
     """
-    if not 1 <= W <= M <= K:
-        raise ValueError(f"need 1 <= W <= M <= K, got W={W}, M={M}, K={K}")
-    if division is None:
-        division = GroupDivision.even(K, W)
-    if division.K != K or division.W != W:
-        raise ValueError("division inconsistent with K and W")
-
+    if not 1 <= W <= K:
+        raise ValueError(f"need 1 <= W <= K, got W={W}, K={K}")
     if W == 1:
-        w = K
-        p = next_prime(w)
-        q = 2 * w - 1
-        return ConstructionParams(K=K, M=M, W=1, division=division, w=w,
-                                  p=p, q=q, Lprime=p * q, L=p * q, deltas=(0,))
-
-    ell = division.ell
+        p = next_prime(K)
+        return K, p, 2 * K - 1, p * (2 * K - 1)
     w = ell + 1
     # The CRT flattening in the final step needs gcd(2W, pq) = 1, so skip
     # primes dividing 2W during the search.
@@ -180,9 +172,28 @@ def select_params(K: int, M: int, W: int,
     # ell generators are used, and the auto-correlation argument needs
     # g <= p - 1; ell <= w - 1 <= p - 1 guarantees it.
     assert ell <= p - 1
+    return w, p, q, 2 * W * p * q
+
+
+def select_params(K: int, M: int, W: int,
+                  division: GroupDivision | None = None) -> ConstructionParams:
+    """The validated ConstructionParams for K nodes on W of M channels.
+
+    (w, p, q) and the period L come from construction_period for the
+    division's largest group (even division by default); the deltas put
+    group m's row offset at CRT image (m - 1, 0), and W = 1 has the one
+    delta 0.
+    """
+    if not 1 <= W <= M <= K:
+        raise ValueError(f"need 1 <= W <= M <= K, got W={W}, M={M}, K={K}")
+    if division is None:
+        division = GroupDivision.even(K, W)
+    if division.K != K or division.W != W:
+        raise ValueError("division inconsistent with K and W")
+    w, p, q, L = construction_period(K, W, division.ell)
     deltas = tuple(crt_inverse(((m - 1) % p, 0), p, q) for m in range(1, W + 1))
     return ConstructionParams(K=K, M=M, W=W, division=division, w=w,
-                              p=p, q=q, Lprime=p * q, L=2 * W * p * q, deltas=deltas)
+                              p=p, q=q, Lprime=p * q, L=L, deltas=deltas)
 
 
 def m_prime(K: int) -> int:
@@ -199,18 +210,15 @@ def m_prime(K: int) -> int:
 def choose_W(K: int, M: int) -> tuple[int, ConstructionParams]:
     """Pick the employed channel count minimizing the period.
 
-    Evaluates every W in [1, M] under even division (prime gaps make the
-    period non-monotone in W), preferring the smaller W on ties.
+    Compares construction_period's L for every W in [1, M] under even
+    division (prime gaps make the period non-monotone in W), preferring
+    the smaller W on ties, and builds validated params for that W alone.
     """
     if not 1 <= M <= K:
         raise ValueError(f"need 1 <= M <= K, got M={M}, K={K}")
-    best: ConstructionParams | None = None
-    for W in range(1, M + 1):
-        cand = select_params(K, M, W)
-        if best is None or cand.L < best.L:
-            best = cand
-    assert best is not None
-    return best.W, best
+    periods = [construction_period(K, W, -(-K // W))[3] for W in range(1, M + 1)]
+    W = periods.index(min(periods)) + 1
+    return W, select_params(K, M, W)
 
 
 def _ui_ones(params: ConstructionParams, gens) -> np.ndarray:

@@ -20,7 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernel
-from .constructor import ScheduleSequenceSet, m_prime, select_params
+# select_params is not called here, but bench/spans.py traces it under this
+# module's name too, so the name stays bound.
+from .constructor import (ScheduleSequenceSet, construction_period, m_prime,  # noqa: F401
+                          select_params)
 from .pool import map_ranges
 from .seqcore import BinarySequence, correlation_profile
 
@@ -474,19 +477,20 @@ def lower_bound(W: int, k: int, M: int, K: int,
 def ratio_table(Ks: list[int], Ms: list[int]) -> dict[tuple[int, int], float]:
     """Constructed period over combined lower bound, rounded to 2 decimals.
 
-    Evaluated under even division with W = M; cells with M above K or above
-    the channel-count threshold are skipped, and so are cells whose bound
-    is 0 (K = M = 1), as `schedseq bound` leaves out their ratio.
+    Evaluated under even division with W = M, whose groups hold K // M to
+    ceil(K / M) nodes; the period comes from construction_period, so no
+    params object is built.  Cells with M above K or above the
+    channel-count threshold are skipped, and so are cells whose bound is 0
+    (K = M = 1), as `schedseq bound` leaves out their ratio.
     """
     out: dict[tuple[int, int], float] = {}
     for M in Ms:
         for K in Ks:
             if M > min(K, m_prime(K)):
                 continue
-            params = select_params(K, M, M)
-            bound = max(period_bounds(M, params.division.k_min))
+            bound = max(period_bounds(M, K // M))
             if bound > 0:
-                out[(K, M)] = round(params.L / bound, 2)
+                out[(K, M)] = round(construction_period(K, M, -(-K // M))[3] / bound, 2)
     return out
 
 

@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library's optimized paths
 (correlation profiles, reduced offset enumeration, chunked simulation)
 so the tests compare two genuinely different routes to the same answer.
+The period-table oracles build one validated ConstructionParams per cell,
+where the library computes the period from plain integers.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from collections import Counter
 
 import pytest
 
-from schedseq.constructor import ScheduleSequenceSet
+from schedseq.constructor import ScheduleSequenceSet, m_prime, select_params
 from schedseq.seqcore import ScheduleSequence, Symbol
+from schedseq.verifier import period_bounds
 
 
 def seq_from_str(text: str, owner_group: int) -> ScheduleSequence:
@@ -156,3 +159,28 @@ def conservative_slack(sset: ScheduleSequenceSet, i: int, j: int) -> int:
             slack -= max(covered.values(), default=0)
         least = slack if least is None else min(least, slack)
     return least
+
+
+def ratio_table_by_params(Ks, Ms) -> dict[tuple[int, int], float]:
+    """ratio_table through one select_params(K, M, M) per cell: its L over
+    the combined bound of its division's smallest group."""
+    out = {}
+    for M in Ms:
+        for K in Ks:
+            if M > min(K, m_prime(K)):
+                continue
+            params = select_params(K, M, M)
+            bound = max(period_bounds(M, params.division.k_min))
+            if bound > 0:
+                out[(K, M)] = round(params.L / bound, 2)
+    return out
+
+
+def choose_W_by_params(K: int, M: int):
+    """(W, params) of the first W in 1..M of least select_params(K, M, W).L."""
+    best = None
+    for W in range(1, M + 1):
+        cand = select_params(K, M, W)
+        if best is None or cand.L < best.L:
+            best = cand
+    return best.W, best
